@@ -128,14 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--batch-delay-ms", type=float, default=50.0,
                          help="solve micro-batch coalescing window")
     p_serve.add_argument("--max-batch-size", type=int, default=64)
-    p_serve.add_argument("--solver-workers", type=int, default=0,
-                         help="solver processes for off-loop solves; 0 keeps "
-                              "solves on the event loop (the default)")
-    p_serve.add_argument("--shared-memory",
-                         action=argparse.BooleanOptionalAction, default=True,
-                         help="ship solves to engine workers via a shared-"
-                              "memory task matrix; --no-shared-memory forces "
-                              "pickled instances (diagnostic)")
     p_serve.add_argument("--uvloop", choices=["auto", "on", "off"],
                          default="auto",
                          help="event-loop policy: auto uses uvloop when "
@@ -234,12 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                           "`repro serve --journal` (or a "
                                           "routing journal from a --router "
                                           "run, detected automatically)")
-    p_replay.add_argument("--engine", action="store_true",
-                          help="replay with the engine's worker-process solve "
-                               "semantics instead of in-loop semantics")
     p_replay.add_argument("--differential", action="store_true",
                           help="replay under every configuration that must "
-                               "agree (in-loop, engine, oracle kernels) and "
+                               "agree (default and oracle kernels) and "
                                "report each variant's first divergence")
     p_replay.add_argument("--pin-tier", default=None, metavar="SOLVER",
                           help="with --differential, also replay with every "
@@ -445,8 +434,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         quality=quality,
         max_batch_delay=args.batch_delay_ms / 1000.0,
         max_batch_size=args.max_batch_size,
-        solver_workers=args.solver_workers,
-        shared_memory=args.shared_memory,
         seed=args.seed,
         resilience=ResilienceConfig(
             request_deadline=args.request_deadline,
@@ -546,7 +533,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     from .serve.replay import (
         ReplayError,
-        ReplayVariant,
         default_variants,
         load_journal,
         pool_from_corpus_spec,
@@ -582,14 +568,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 journal, pool, variants=default_variants(pin_tier=args.pin_tier)
             )
         else:
-            label = "engine" if args.engine else "in-loop"
-            reports = [
-                replay_journal(
-                    journal,
-                    pool,
-                    ReplayVariant(label, engine_semantics=args.engine),
-                )
-            ]
+            reports = [replay_journal(journal, pool)]
     except ReplayError as exc:
         print(f"cannot replay {path}: {exc}", file=sys.stderr)
         return 2

@@ -100,30 +100,6 @@ class TaskPool:
         self._position = seen
         self._matrix = np.vstack(rows)
 
-    @classmethod
-    def from_trusted_matrix(
-        cls,
-        task_ids: Sequence[str],
-        matrix: np.ndarray,
-        vocabulary: Vocabulary,
-    ) -> "TaskPool":
-        """Build a pool directly from an aligned boolean matrix.
-
-        Skips the per-row validation of ``__init__`` — caller guarantees
-        ``matrix`` is boolean, ``(len(task_ids), len(vocabulary))``-shaped,
-        and the ids are unique.  Used by the zero-copy solve path, which
-        reconstructs candidate pools from shared-memory rows in worker
-        processes where the per-row coercion cost is pure overhead.
-        """
-        pool = cls.__new__(cls)
-        pool._tasks = tuple(
-            Task(task_id=tid, vector=row) for tid, row in zip(task_ids, matrix)
-        )
-        pool._vocabulary = vocabulary
-        pool._position = {tid: i for i, tid in enumerate(task_ids)}
-        pool._matrix = matrix
-        return pool
-
     def __len__(self) -> int:
         return len(self._tasks)
 

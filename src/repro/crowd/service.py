@@ -140,14 +140,14 @@ class TaskPoolState:
         return available
 
     def lease(self, cap: int | None) -> list[Task]:
-        """Reserve a shortlist for an off-loop solve.
+        """Reserve a shortlist for a prepared solve.
 
         Drawn like :meth:`shortlist` but removed from the pool *silently*
-        (no listener notification), so solves running concurrently in worker
-        processes operate on disjoint candidate sets and cannot double-assign
-        a task.  Every leased task must come back via :meth:`restore` before
-        the solve's results are committed; listeners only ever hear about a
-        task through the normal :meth:`remove` path.
+        (no listener notification), so no other draw can hand out a task
+        while its solve is pending.  Every leased task must come back via
+        :meth:`restore` before the solve's results are committed; listeners
+        only ever hear about a task through the normal :meth:`remove`
+        path.
         """
         drawn = self.shortlist(cap)
         for task in drawn:
@@ -164,13 +164,13 @@ class TaskPoolState:
 class PreparedSolve:
     """A leased, ready-to-run HTA solve, split off the commit that installs it.
 
-    Produced by :meth:`AssignmentService.prepare_solve` on the event loop.
-    ``instance``, ``worker_ids``, ``solver_name`` and ``seed`` are everything
-    a solver needs and are plain picklable data, so the serving layer's
-    :class:`~repro.serve.engine.SolveEngine` can ship them to a worker
-    process; ``candidates`` and ``task_pool`` stay behind for
-    :meth:`AssignmentService.commit_solve` /
-    :meth:`AssignmentService.abandon_solve`, which must run back on the loop.
+    Produced by :meth:`AssignmentService.prepare_solve`.  ``instance``,
+    ``worker_ids``, ``solver_name`` and ``seed`` are everything a solver
+    needs (:func:`execute_prepared` runs them); ``candidates`` and
+    ``task_pool`` are what :meth:`AssignmentService.commit_solve` /
+    :meth:`AssignmentService.abandon_solve` need to install the result or
+    release the lease.  The split lets the daemon and ``repro replay``
+    journal the lease and the commit as separate events.
     """
 
     worker_ids: list[str]
@@ -187,12 +187,10 @@ class PreparedSolve:
 def execute_prepared(prepared: PreparedSolve) -> dict[str, tuple[str, ...]]:
     """Run a prepared solve with its own derived RNG stream.
 
-    This is the *same* computation the serving layer's process-pool engine
-    performs in a worker (:func:`repro.serve.engine._solve_request`, minus
-    the pickling): the solver named at prepare time, fed a generator seeded
-    with the seed drawn at prepare time.  In-loop serving and replay both
-    call this, which is what makes an in-loop run, an engine run, and a
-    journal replay bit-identical for the same lease sequence.
+    The solver named at prepare time, fed a generator seeded with the seed
+    drawn at prepare time.  Serving and replay both call this, which is
+    what makes a live run and its journal replay bit-identical for the
+    same lease sequence.
     """
     solver = get_solver(prepared.solver_name)
     rng = np.random.default_rng(prepared.seed)
@@ -598,20 +596,20 @@ class AssignmentService:
             )
         return events
 
-    # -- off-loop solve seam ---------------------------------------------------
+    # -- prepare / commit solve seam -------------------------------------------
 
     def prepare_solve(
         self,
         worker_ids: Sequence[str],
         solver_name: str | None = None,
     ) -> PreparedSolve | None:
-        """Lease candidates and build the instance for an off-loop solve.
+        """Lease candidates and build the instance for a prepared solve.
 
         Returns ``None`` when there is nothing to solve (no live workers in
-        the batch, or an empty pool).  The in-loop path
-        (:meth:`reassign_workers`) is untouched by this seam — it keeps its
-        own RNG discipline; here the solver's stream is a fresh seed drawn
-        from the service RNG so the solve can run in another process.
+        the batch, or an empty pool).  :meth:`reassign_workers` is untouched
+        by this seam — it keeps its own RNG discipline; here the solver's
+        stream is a fresh seed drawn from the service RNG, so the solve is
+        a pure function of the lease and replays from the journal alone.
         """
         live = [w for w in worker_ids if w in self._workers]
         if not live:
@@ -661,8 +659,8 @@ class AssignmentService:
         :meth:`reassign_workers`: empty-handed workers draw random tasks
         while any remain, workers with nothing at all are omitted, and
         workers that unregistered mid-solve release their tasks back to the
-        pool.  Runs synchronously — no awaits — so overlapping engine solves
-        commit atomically with respect to each other.
+        pool.  Runs synchronously — no awaits — so a commit is atomic with
+        respect to the event loop.
         """
         times = session_times or {}
         self._outstanding.pop(prepared.lease_id, None)
@@ -705,13 +703,12 @@ class AssignmentService:
         matrices are not stored — they are recomputed bit-identically from
         the keyword vectors on restore.
 
-        Candidates leased to an in-flight off-loop solve are *logically*
-        still unassigned — the lease only guarantees disjointness between
-        concurrent solves — so they are part of the remaining pool here,
-        appended in lease order exactly where :meth:`TaskPoolState.restore`
-        would put them if the solve were abandoned.  Without this, a
-        snapshot taken mid-solve would silently lose every leased task on
-        restore.
+        Candidates leased to a pending solve are *logically* still
+        unassigned, so they are part of the remaining pool here, appended
+        in lease order exactly where :meth:`TaskPoolState.restore` would put
+        them if the solve were abandoned.  Without this, a snapshot taken
+        while a lease is outstanding would silently lose every leased task
+        on restore.
         """
         remaining = self._pool_state.task_ids()
         for prepared in self._outstanding.values():

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import InvalidInstanceError
 from ..perf.config import resolve_kernel
-from ..perf.lsap_kernels import hungarian_min_rect, hungarian_min_rect_warm
+from ..perf.lsap_kernels import hungarian_min_rect
 
 #: Brute force explores n! permutations; 9! = 362,880 keeps tests fast.
 MAX_BRUTE_FORCE_ROWS = 9
@@ -88,8 +88,6 @@ def hungarian(profit: np.ndarray, kernel: str | None = None) -> LSAPSolution:
     negated matrix (max-profit == min-cost).  The default ``"vectorized"``
     kernel (:mod:`repro.perf.lsap_kernels`) solves rectangular inputs
     directly — one augmentation per real row, ``O(n_rows^2 n_cols)``; the
-    ``"warm"`` kernel adds certified dual reuse across consecutive solves
-    of the same :func:`repro.perf.lsap_kernels.warm_context`; the
     ``"reference"`` kernel pads with zero-profit rows and solves the square
     problem in ``O(n_cols^3)``, serving as the differential oracle.
 
@@ -102,8 +100,6 @@ def hungarian(profit: np.ndarray, kernel: str | None = None) -> LSAPSolution:
     resolved = resolve_kernel("lsap", kernel)
     if resolved == "vectorized":
         row_to_col = hungarian_min_rect(cost)
-    elif resolved == "warm":
-        row_to_col = hungarian_min_rect_warm(cost)
     else:
         if n_rows < n_cols:
             cost = np.vstack([cost, np.zeros((n_cols - n_rows, n_cols))])

@@ -66,29 +66,6 @@ def pack_rows(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed8).view(np.uint64)
 
 
-def unpack_rows(packed: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_rows`: packed words back to a boolean matrix.
-
-    ``packed`` is a ``(n, ceil(n_bits / 64))`` uint64 matrix; returns the
-    ``(n, n_bits)`` boolean matrix it encodes.  Round-trips exactly:
-    ``unpack_rows(pack_rows(m), m.shape[1]) == m``.
-    """
-    words = np.asarray(packed, dtype=np.uint64)
-    if words.ndim != 2:
-        raise ValueError(f"expected a 2-D packed matrix, got {words.ndim}-D")
-    n, n_words = words.shape
-    if n_bits < 0 or (n_bits + 63) // 64 != n_words:
-        raise ValueError(
-            f"n_bits {n_bits} does not fit {n_words} uint64 words"
-        )
-    if n_bits == 0:
-        return np.zeros((n, 0), dtype=bool)
-    assert np.dtype(np.uint64).byteorder in ("=", "<") and np.little_endian
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :n_bits].astype(bool)
-
-
 def packed_intersections(
     left: np.ndarray,
     right: np.ndarray,

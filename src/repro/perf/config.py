@@ -8,13 +8,11 @@ Two hot paths have interchangeable kernels:
   oracle);
 * ``"lsap"`` — the Hungarian solver in :mod:`repro.matching.lsap`:
   ``"vectorized"`` (rectangular-aware augmenting-path search with
-  vectorized inner loops, :mod:`repro.perf.lsap_kernels`), ``"warm"``
-  (the vectorized kernel with certified dual reuse across consecutive
-  solves, :func:`repro.perf.lsap_kernels.hungarian_min_rect_warm`) or
+  vectorized inner loops, :mod:`repro.perf.lsap_kernels`) or
   ``"reference"`` (the original pad-to-square implementation, the oracle).
 
-Both kernels of a domain produce bit-identical float results on square /
-well-posed inputs; the differential suite in ``tests/test_perf_kernels.py``
+Both kernels of a domain produce bit-identical float results on square
+inputs; the differential suite in ``tests/test_perf_kernels.py``
 enforces that.  Defaults favour the fast kernels and can be overridden
 process-wide via :func:`set_kernel`, per call site via the ``kernel=``
 argument the hot functions accept, or at startup via the environment
@@ -29,7 +27,7 @@ from contextlib import contextmanager
 #: domain -> allowed kernel names, fastest (default) first.
 KERNELS: dict[str, tuple[str, ...]] = {
     "jaccard": ("packed", "dense"),
-    "lsap": ("vectorized", "warm", "reference"),
+    "lsap": ("vectorized", "reference"),
 }
 
 _ENV_VARS = {

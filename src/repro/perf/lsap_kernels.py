@@ -21,86 +21,32 @@ same first-minimum tie-breaking, so the returned assignment is identical
 entry for entry.  For rectangular inputs the assignment *value* equals the
 reference (both are optimal); tie-broken column choices may differ, which
 the differential suite pins down against ``brute_force_lsap``.
-
-Dual warm starts
-----------------
-
-The serving loop re-solves near-identical LSAP instances every tick (the
-same worker set against a slightly shrunken candidate pool), which is the
-textbook case for reusing the column potentials ``v`` between runs: a good
-starting ``v`` makes each augmenting-path search terminate after scanning a
-handful of columns.  :func:`hungarian_min_rect_warm` keeps a per-process
-:class:`DualCache` of final duals keyed by the active
-:func:`warm_context` (the engine sets the batch's worker ids) and
-warm-starts the next solve of that stream; cached duals are truncated or
-zero-padded when the candidate count changed between ticks.
-
-Reused duals are a *heuristic*: nothing guarantees they are valid
-potentials for the new cost matrix, so the warm result is only returned
-when a post-solve certificate proves it is the unique optimum — dual
-feasibility of the final ``(u, v)``, tightness on every assigned pair, the
-matched/unmatched column sign conditions, and exactly one tight entry per
-row (unique optimum ⇒ any exact solver returns the same assignment, so
-warm output is bit-identical to cold output).  On certificate failure the
-cold solver re-runs and *its* answer is returned; after
-``_MAX_CONSECUTIVE_FAILURES`` failures in a row the cache entry enters a
-cooldown — warm attempts resume only every ``_RETRY_PERIOD`` calls, so
-degenerate/tied streams stop paying double while a stream that turns
-well-posed again recovers.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from contextlib import contextmanager
-
 import numpy as np
 
-#: Certificate tolerance scale, relative to the cost magnitude.
-_EPS_SCALE = 1e-9
 
-#: Consecutive certificate failures after which an entry enters cooldown.
-_MAX_CONSECUTIVE_FAILURES = 2
-
-#: While cooling down, probe a warm attempt once every this many calls.
-_RETRY_PERIOD = 16
-
-
-def hungarian_min_rect(
-    cost: np.ndarray,
-    init_v: "np.ndarray | None" = None,
-    return_duals: bool = False,
-):
+def hungarian_min_rect(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost assignment of every row of a rectangular cost matrix.
 
     Args:
         cost: ``(n_rows, n_cols)`` float matrix with ``n_rows <= n_cols``
             and finite entries (callers validate).
-        init_v: Optional warm-start column potentials of length ``n_cols``
-            (the ``v`` of a previous solve).  Arbitrary values are safe for
-            termination, but only :func:`hungarian_min_rect_warm` should
-            pass this — it certifies the result before trusting it.
-        return_duals: Also return the final row/column potentials.
 
     Returns:
         ``row_to_col`` of shape ``(n_rows,)`` — distinct columns minimizing
-        the total cost; with ``return_duals``, the tuple
-        ``(row_to_col, u, v)`` where ``u``/``v`` are the real (non-virtual)
-        potentials of shape ``(n_rows,)`` / ``(n_cols,)``.
+        the total cost.
     """
     cost = np.ascontiguousarray(cost, dtype=np.float64)
     n_rows, n_cols = cost.shape
     if n_rows > n_cols:
         raise ValueError(f"need n_rows <= n_cols, got shape {cost.shape}")
     if n_rows == 0:
-        empty = np.empty(0, dtype=np.intp)
-        if return_duals:
-            return empty, np.empty(0), np.zeros(n_cols)
-        return empty
+        return np.empty(0, dtype=np.intp)
     u = np.zeros(n_rows + 1)
     v = np.zeros(n_cols + 1)
-    if init_v is not None:
-        v[1:] = init_v
     p = np.zeros(n_cols + 1, dtype=np.intp)  # column -> matched row (1-based)
     way = np.zeros(n_cols + 1, dtype=np.intp)
     visited = np.empty(n_cols + 1, dtype=np.intp)
@@ -142,241 +88,4 @@ def hungarian_min_rect(
     row_to_col = np.empty(n_rows, dtype=np.intp)
     matched = np.flatnonzero(p[1:])
     row_to_col[p[1:][matched] - 1] = matched
-    if return_duals:
-        return row_to_col, u[1:].copy(), v[1:].copy()
-    return row_to_col
-
-
-# -- dual warm starts --------------------------------------------------------
-
-
-class _DualEntry:
-    __slots__ = ("duals", "signature", "failures")
-
-    def __init__(self, duals: np.ndarray, signature: tuple):
-        self.duals = duals
-        self.signature = signature
-        self.failures = 0
-
-
-class DualCache:
-    """Process-local LRU of final column duals, keyed by warm context.
-
-    One entry per context key — the serving engine's context key is the
-    batch's worker-id tuple, so consecutive ticks of the same worker set
-    warm-start each other while unrelated batches stay apart.  The stored
-    duals may come from a different candidate count (pools shrink between
-    ticks); :func:`hungarian_min_rect_warm` adapts them by truncation /
-    zero-padding.  ``signature`` records the shape they came from.
-    """
-
-    def __init__(self, max_entries: int = 64):
-        self._max_entries = max_entries
-        self._entries: "OrderedDict[tuple, _DualEntry]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.certificate_failures = 0
-
-    def get(self, key: tuple) -> "_DualEntry | None":
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: tuple, duals: np.ndarray, signature: tuple) -> None:
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = _DualEntry(duals, signature)
-        else:
-            entry.duals = duals
-            entry.signature = signature
-            self._entries.move_to_end(key)
-        while len(self._entries) > self._max_entries:
-            self._entries.popitem(last=False)
-
-    def note_failure(self, key: tuple) -> None:
-        entry = self._entries.get(key)
-        if entry is not None:
-            entry.failures += 1
-        self.certificate_failures += 1
-
-    def note_success(self, key: tuple) -> None:
-        entry = self._entries.get(key)
-        if entry is not None:
-            entry.failures = 0
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.certificate_failures = 0
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "certificate_failures": self.certificate_failures,
-        }
-
-
-_CACHE = DualCache()
-_CONTEXT_KEY: "tuple | str | None" = None
-
-
-@contextmanager
-def warm_context(key):
-    """Scope the dual cache to one logical solve stream.
-
-    The engine wraps each worker-process solve in the batch's worker-id
-    tuple; anything hashable works.  Nested contexts restore the outer key.
-    """
-    global _CONTEXT_KEY
-    previous = _CONTEXT_KEY
-    _CONTEXT_KEY = tuple(key) if isinstance(key, (list, tuple)) else key
-    try:
-        yield
-    finally:
-        _CONTEXT_KEY = previous
-
-
-def dual_cache_stats() -> dict:
-    """Hit/miss/failure counters of this process's dual cache."""
-    return _CACHE.stats()
-
-
-def reset_dual_cache() -> None:
-    """Drop all cached duals and counters (tests)."""
-    _CACHE.clear()
-
-
-def _certified_unique_optimum(
-    cost: np.ndarray,
-    row_to_col: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-) -> bool:
-    """True iff ``(u, v)`` proves ``row_to_col`` is the *unique* optimum.
-
-    For any assignment ``A``:
-    ``value(A) - value(W) = sum_A R + sum_{cols(A)\\cols(W)} v
-    - sum_{cols(W)\\cols(A)} v`` where ``R = cost - u - v`` and ``W`` is the
-    certified assignment (tight on its pairs).  With feasible duals
-    satisfying the column sign conditions (``v <= 0`` on matched columns,
-    ``v >= 0`` on unmatched) every term is non-negative, so ``W`` is
-    optimal.  ``A`` ties ``W`` only when ``A xor W`` decomposes into
-    alternating *cycles* of tight edges (the column set is unchanged) and
-    alternating *paths* of tight edges whose freed column and newly taken
-    column both have ``v ~= 0``; if the tight graph contains neither, the
-    optimum is unique and a cold solver provably returns ``row_to_col``
-    itself.
-
-    Warm-run duals routinely violate the sign conditions even when the
-    assignment is right — leftover negative potentials from the previous
-    tick stick to columns that end up unmatched.  Both violations are
-    repairable without touching the assignment: a matched column's excess
-    ``v`` shifts into its row's ``u`` (tightness of the assigned pair is
-    preserved), and an unmatched negative ``v`` is raised to zero; the
-    feasibility re-check below then validates the *repaired* duals, which
-    satisfy the sign conditions by construction.
-    """
-    n_rows, n_cols = cost.shape
-    eps = _EPS_SCALE * max(1.0, float(np.abs(cost).max()))
-    u = u.copy()
-    v = v.copy()
-    rows = np.arange(n_rows)
-    matched = np.zeros(n_cols, dtype=bool)
-    matched[row_to_col] = True
-    # Repair: move matched columns' positive v into their rows' u ...
-    excess = np.maximum(v[row_to_col], 0.0)
-    u += excess
-    v[row_to_col] -= excess
-    # ... and lift unmatched columns' negative v to zero.
-    v[~matched] = np.maximum(v[~matched], 0.0)
-    reduced = cost - u[:, None] - v[None, :]
-    if float(reduced.min()) < -eps:
-        return False  # repaired duals not feasible
-    if float(np.abs(reduced[rows, row_to_col]).max()) > eps:
-        return False  # assigned pairs not tight
-    tight = reduced <= eps
-    # Row digraph: i -> i' when row i has a tight edge into i''s column
-    # (row i could steal it, forcing i' to move on).
-    adjacency = tight[:, row_to_col]
-    np.fill_diagonal(adjacency, False)
-    # An alternating path ties W only if it frees a matched column with
-    # v ~= 0 (entry) and ends on an unmatched tight column with v ~= 0
-    # (exit); an alternating cycle always ties W.
-    entry = v[row_to_col] >= -eps
-    exit_cols = ~matched & (v <= eps)
-    exits = (tight[:, exit_cols]).any(axis=1) if exit_cols.any() else np.zeros(
-        n_rows, dtype=bool
-    )
-    if (entry & exits).any():
-        return False
-    # BFS forward from entry rows; reaching an exit row ties W.
-    frontier = entry.copy()
-    seen = entry.copy()
-    while frontier.any():
-        nxt = adjacency[frontier].any(axis=0) & ~seen
-        if (nxt & exits).any():
-            return False
-        seen |= nxt
-        frontier = nxt
-    # Cycle detection on the tight digraph (iterative Kahn peeling).
-    alive = np.ones(n_rows, dtype=bool)
-    while True:
-        indegree = adjacency[alive][:, alive].sum(axis=0)
-        leaves = np.flatnonzero(alive)[indegree == 0]
-        outdeg_zero = np.flatnonzero(alive)[
-            ~adjacency[alive][:, alive].any(axis=1)
-        ]
-        drop = np.union1d(leaves, outdeg_zero)
-        if drop.size == 0:
-            break
-        alive[drop] = False
-        if not alive.any():
-            break
-    return not alive.any()
-
-
-def hungarian_min_rect_warm(cost: np.ndarray) -> np.ndarray:
-    """:func:`hungarian_min_rect` with dual reuse across consecutive solves.
-
-    Warm-starts from the cached duals of the active :func:`warm_context`
-    (same column count); the result is returned only when the certificate
-    proves it bit-identical to a cold solve, otherwise the cold solver
-    re-runs and its answer is returned — callers can never observe a
-    warm-start artifact.
-    """
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    n_rows, n_cols = cost.shape
-    if n_rows > n_cols:
-        raise ValueError(f"need n_rows <= n_cols, got shape {cost.shape}")
-    if n_rows == 0:
-        return np.empty(0, dtype=np.intp)
-    key = _CONTEXT_KEY
-    entry = _CACHE.get(key)
-    attempt = entry is not None and (
-        entry.failures < _MAX_CONSECUTIVE_FAILURES
-        or entry.failures % _RETRY_PERIOD == 0
-    )
-    if attempt:
-        init_v = entry.duals
-        if len(init_v) >= n_cols:
-            init_v = init_v[:n_cols]
-        else:
-            init_v = np.concatenate([init_v, np.zeros(n_cols - len(init_v))])
-        row_to_col, u, v = hungarian_min_rect(cost, init_v=init_v, return_duals=True)
-        if _certified_unique_optimum(cost, row_to_col, u, v):
-            _CACHE.put(key, v, (n_rows, n_cols))
-            _CACHE.note_success(key)
-            _CACHE.hits += 1
-            return row_to_col
-        _CACHE.note_failure(key)
-    else:
-        if entry is not None:
-            entry.failures += 1  # advance the cooldown probe counter
-        _CACHE.misses += 1
-    row_to_col, u, v = hungarian_min_rect(cost, return_duals=True)
-    _CACHE.put(key, v, (n_rows, n_cols))
     return row_to_col

@@ -22,7 +22,6 @@ verifiable routing journal).  See docs/SERVING.md.
 
 from .app import AssignmentDaemon, ServeConfig, run_daemon
 from .cache import IncrementalDiversityCache
-from .engine import SolveEngine
 from .loadgen import (
     LoadgenConfig,
     LoadgenResult,
@@ -115,7 +114,6 @@ __all__ = [
     "ShardProcess",
     "ShardSpec",
     "SolveContext",
-    "SolveEngine",
     "SolveScheduler",
     "Span",
     "SpanMetrics",

@@ -30,7 +30,6 @@ which correct operation keeps at zero.
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
@@ -122,12 +121,6 @@ class ServeConfig:
     service: ServiceConfig = field(default_factory=ServiceConfig)
     max_batch_delay: float = 0.05
     max_batch_size: int = 64
-    solver_workers: int = 0
-    #: Ship solve candidates to pool workers as row indices into a shared
-    #: :mod:`multiprocessing.shared_memory` task-matrix segment instead of
-    #: pickling the instance (engine mode only; see
-    #: :mod:`repro.serve.shm`).  Off forces the pickled path everywhere.
-    shared_memory: bool = True
     seed: int | None = None
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     fault_plan: FaultPlan | None = None
@@ -198,8 +191,6 @@ class AssignmentDaemon:
             self.service.set_reputation_provider(self.quality.reputation.mean)
         self.cache = IncrementalDiversityCache(serving_pool).attach(self.service)
         self.scheduler = None  # created in start(), needs a running loop
-        self.engine = None  # created in start() when solver_workers > 0
-        self._shm_store = None  # created in start() alongside the engine
         self._vocabulary = pool.vocabulary
         self._task_index: dict[str, Task] = {t.task_id: t for t in serving_pool}
         self._displayed_ever: set[str] = set()
@@ -332,7 +323,6 @@ class AssignmentDaemon:
                         "tier_policy": self.config.tier_policy,
                     },
                     "recorded_with": {
-                        "solver_workers": self.config.solver_workers,
                         "fault_plan": (
                             None
                             if self.config.fault_plan is None
@@ -356,53 +346,12 @@ class AssignmentDaemon:
     async def start(self) -> None:
         from .scheduler import SolveScheduler
 
-        if self.config.solver_workers > 0:
-            from .engine import SolveEngine
-
-            if self.config.shared_memory:
-                from .shm import TaskMatrixStore
-
-                # Publish the live pool's packed keyword matrix once;
-                # POST /tasks arrivals re-publish a bumped version through
-                # the pool's arrival listener.  shortlist(None) reads every
-                # remaining task without consuming the service RNG.
-                self._shm_store = TaskMatrixStore(
-                    self.service.pool_state.shortlist(None),
-                    len(self._vocabulary),
-                )
-                self.service.pool_state.add_arrival_listener(
-                    self._shm_store.on_arrivals
-                )
-            self.engine = SolveEngine(
-                self.service,
-                self.registry,
-                self.config.solver_workers,
-                solver_names=self.degradation.ladder,
-                shm_store=self._shm_store,
-            )
-            self.engine.recorder = self._recorder
-        # Engine mode: batches are coroutines, several may be in flight, and
-        # the degradation controller is fed the in-worker solve time from
-        # _solve_batch_async instead of the scheduler's end-to-end timing
-        # (which would count queueing against the solve budget).  The cap is
-        # sized to the worker pool but bounded by the physical cores:
-        # in-flight solves beyond the cores just timeshare, which inflates
-        # every solve's wall time for zero extra throughput.  On a small
-        # host the scheduler's back-pressure batching keeps dispatch
-        # responsive anyway — due workers coalesce while the slots are
-        # busy and ship the moment one frees.
         self.scheduler = SolveScheduler(
-            self._solve_batch_async if self.engine is not None else self._solve_batch,
+            self._solve_batch,
             self.registry,
             max_batch_delay=self.config.max_batch_delay,
             max_batch_size=self.config.max_batch_size,
-            solve_observer=(
-                None if self.engine is not None else self.degradation.observe_solve
-            ),
-            max_concurrency=max(
-                1,
-                min(2 * self.config.solver_workers, os.cpu_count() or 1),
-            ),
+            solve_observer=self.degradation.observe_solve,
         )
         self.scheduler.start()
         self._server = await asyncio.start_server(
@@ -418,14 +367,6 @@ class AssignmentDaemon:
         if self.scheduler is not None:
             await self.scheduler.stop()
             self.scheduler = None
-        if self.engine is not None:
-            await self.engine.close()
-            self.engine = None
-        if self._shm_store is not None:
-            # After the engine drained: every acquired version has been
-            # released, so close() unlinks all segments exactly once.
-            self._shm_store.close()
-            self._shm_store = None
         self.snapshot_now()
         if self._recorder is not None:
             # Final bit-identity anchor: a replay that matched every event
@@ -453,12 +394,11 @@ class AssignmentDaemon:
     # -- solve batching -----------------------------------------------------
 
     def _solve_batch(self, worker_ids, ctx: SolveContext) -> dict[str, TasksAssigned]:
-        """One assignment iteration for a scheduler batch (in-loop mode).
+        """One assignment iteration for a scheduler batch.
 
-        Runs the same prepare → solve → commit protocol as the off-loop
-        engine, with the solver on a derived per-solve seed, so the two
-        serving configurations consume the service RNG identically: a
-        journal recorded under either replays bit-identically under both
+        Runs the prepare → solve → commit protocol with the solver on a
+        derived per-solve seed, the same protocol ``repro replay`` drives,
+        so a recorded journal replays bit-identically
         (``repro replay --differential`` proves it per run).
         """
         tier = self.degradation.strategy
@@ -489,49 +429,6 @@ class AssignmentDaemon:
             events = self.service.commit_solve(prepared, assigned, wall_time)
             if self._recorder is not None:
                 self._recorder.record_commit(prepared, wall_time, events)
-            for event in events.values():
-                self._register_display(event)
-                self._reassignments.inc()
-            self._quality_tick()
-            self._adaptivity_tick()
-            self._maybe_snapshot()
-        return events
-
-    async def _solve_batch_async(
-        self, worker_ids, ctx: SolveContext
-    ) -> dict[str, TasksAssigned]:
-        """Engine-mode batch: hooks run here, the solve in a pool worker.
-
-        Fault injection and the degradation controller stay in this process;
-        only the HTA solve itself crosses the process boundary.  The solve
-        budget is checked against the wall time the worker measured around
-        its solver call, so the signal means the same thing it does in-loop.
-        """
-        ctx.attrs["tier"] = self.degradation.strategy
-        crash = False
-        if self.fault is not None:
-            try:
-                self.fault.on_solve()
-            except InjectedFault:
-                self.degradation.observe_solve_failure()
-                raise
-            crash = self.fault.crash_worker()
-        try:
-            events, solve_seconds = await self.engine.solve_batch(
-                worker_ids,
-                self._wall_time(),
-                solver_name=self.degradation.strategy,
-                ctx=ctx,
-                crash=crash,
-            )
-        except Exception:
-            self.degradation.observe_solve_failure()
-            raise
-        if solve_seconds > 0.0:
-            self.degradation.observe_solve(solve_seconds)
-        # The engine committed the displays; install the C2 ledger entries
-        # and snapshot cadence here, where the daemon's state lives.
-        with ctx.span("snapshot"):
             for event in events.values():
                 self._register_display(event)
                 self._reassignments.inc()
@@ -605,9 +502,9 @@ class AssignmentDaemon:
     def snapshot_now(self) -> bool:
         """Persist the daemon's full mutable state; no-op without a store.
 
-        Safe to call while engine solves are in flight: the service
-        snapshots the *logically-restored* pool (leased candidates
-        included), so a restore from a mid-solve snapshot loses nothing.
+        The service snapshots the *logically-restored* pool (leased
+        candidates included), so a restore from a snapshot taken while a
+        lease is outstanding loses nothing.
         """
         if self._snapshots is None:
             return False
@@ -827,8 +724,6 @@ class AssignmentDaemon:
                 "tier_policy": self.config.tier_policy,
             },
         }
-        if self.engine is not None:
-            payload["engine"] = self.engine.describe()
         if self.fault is not None:
             payload["fault_injection"] = self.fault.describe()
         if self._snapshots is not None:
@@ -1067,11 +962,11 @@ class AssignmentDaemon:
                 )
                 reassigned = event is not None
             except asyncio.TimeoutError:
-                # The solve is still running and will install the display
-                # when it lands; this request answers *now* with the stale
+                # The batch is still queued and will install the display
+                # when it runs; this request answers *now* with the stale
                 # one rather than blowing its budget.  The trace closes with
-                # the response; the in-flight batch's spans arrive after
-                # close and are counted as late spans, not recorded.
+                # the response; the batch's spans arrive after close and
+                # are counted as late spans, not recorded.
                 deadline_exceeded = True
                 self._deadline_exceeded.inc()
                 self.degradation.observe_deadline_miss()
@@ -1227,8 +1122,6 @@ class AssignmentDaemon:
         self._draining = True
         if self.scheduler is not None:
             await self.scheduler.quiesce()
-        if self.engine is not None:
-            await self.engine.quiesce()
         return {
             "status": "draining",
             "outstanding_leases": len(self.service.outstanding_leases()),

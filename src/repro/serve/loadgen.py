@@ -718,7 +718,7 @@ async def run_self_contained(
 
     Returns the loadgen result plus the daemon's metrics snapshot — the CI
     smoke test and the throughput benchmark both use this.  Pass
-    ``serve_config`` to control the daemon fully (e.g. ``solver_workers``);
+    ``serve_config`` to control the daemon fully (e.g. ``fault_plan``);
     its host/port are overridden to co-locate with the load generator.
     """
     from dataclasses import replace
@@ -855,10 +855,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--strategy", default="hta-gre")
     parser.add_argument(
-        "--solver-workers", type=int, default=0,
-        help="solver worker processes for --spawn-server (0 = in-loop solves)",
-    )
-    parser.add_argument(
         "--trace-file", default=None,
         help="JSONL trace file for the spawned daemon (--spawn-server only)",
     )
@@ -929,11 +925,6 @@ def main(argv: list[str] | None = None) -> int:
         "--reputation-weight", type=float, default=0.0,
         help="spawned daemon's reputation-weighted relevance term "
              "(--spawn-server only)",
-    )
-    parser.add_argument(
-        "--shared-memory", action=argparse.BooleanOptionalAction, default=True,
-        help="ship solves to engine workers via shared memory "
-             "(--spawn-server only; --no-shared-memory forces pickling)",
     )
     parser.add_argument(
         "--estimator", choices=["plain", "bayes"], default="plain",
@@ -1017,12 +1008,10 @@ def main(argv: list[str] | None = None) -> int:
         if (
             args.trace_file
             or args.trace_sample_rate > 0
-            or args.solver_workers > 0
             or args.journal
             or args.fault_plan
             or quality_wanted
             or args.reputation_weight > 0
-            or not args.shared_memory
             or adaptivity_wanted
         ):
             from ..crowd.service import ServiceConfig
@@ -1053,8 +1042,6 @@ def main(argv: list[str] | None = None) -> int:
                 service=ServiceConfig(
                     reputation_weight=args.reputation_weight
                 ),
-                solver_workers=args.solver_workers,
-                shared_memory=args.shared_memory,
                 trace_file=args.trace_file,
                 trace_sample_rate=args.trace_sample_rate,
                 fault_plan=fault_plan,

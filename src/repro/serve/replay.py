@@ -4,8 +4,8 @@ The paper's iterated assignment loop is a pure function of the observation
 stream: the same registrations and completions, in the same order, produce
 the same ``W^i`` batches, the same Eq. 7/8 instances, and the same displays.
 The serving stack obscures that determinism behind an asyncio scheduler, a
-process-pool engine, a degradation ladder and fault injection — this module
-makes it checkable again:
+degradation ladder and fault injection — this module makes it checkable
+again:
 
 * :class:`FlightRecorder` — an append-only JSONL *journal* written at the
   daemon's ingress and solve boundaries.  Ingress events (``register`` /
@@ -30,13 +30,10 @@ makes it checkable again:
   lease and worker, and the trace ids of the requests that rode that solve.
 
 * :func:`replay_differential` — replays one journal under multiple
-  configurations (:class:`ReplayVariant`): the in-loop solver path, the
-  engine's worker-process path (same pickle round-trip, run in-process),
-  the zero-copy shared-memory shipping path (index arrays against a real
-  segment), the dense vs bit-packed Jaccard kernels, the reference and
-  warm-started vs vectorized LSAP kernels, and optionally a pinned
-  degradation-ladder tier.  Because live
-  serving funnels every solve through the same
+  configurations (:class:`ReplayVariant`): the default kernels, the dense
+  vs bit-packed Jaccard kernels, the reference vs vectorized LSAP kernels,
+  and optionally a pinned degradation-ladder tier.  Because live serving
+  funnels every solve through the same
   :func:`~repro.crowd.service.execute_prepared` computation, all unpinned
   variants must agree bit-for-bit; a pinned tier is a diagnostic that shows
   *where* outcomes start depending on the ladder position.
@@ -47,10 +44,8 @@ See docs/SERVING.md ("Record/replay") for the journal schema and CLI.
 from __future__ import annotations
 
 import contextlib
-import copy
 import hashlib
 import json
-import pickle
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,7 +85,7 @@ _EVENT_FIELDS: dict[str, frozenset[str]] = {
     # config; see repro.quality).  ``probe`` records the aliases minted for
     # one installed display; ``tick`` marks a reputation flush.  Both are
     # recorded synchronously next to the controller call, so the journal
-    # order IS the call order even under overlapping engine solves.
+    # order IS the call order.
     "probe": frozenset({"worker_id", "iteration", "aliases"}),
     "tick": frozenset(),
     # Shard drain/rebalance: ``handoff_out`` records a worker leaving this
@@ -463,22 +458,12 @@ def pool_from_corpus_spec(spec: dict) -> TaskPool:
 class ReplayVariant:
     """One configuration to replay a journal under.
 
-    ``engine_semantics`` routes each solve through the engine's exact
-    worker-process code path (pickle round-trip of the slimmed instance,
-    :func:`repro.serve.engine._solve_blob`) but in-process — proving the
-    process boundary itself changes nothing.  ``shm_shipping`` (implies
-    engine semantics) goes further: each solve publishes its candidates
-    into a real shared-memory segment and ships a
-    :class:`~repro.serve.engine.ShmSolveRequest` of index arrays through
-    the same blob path, proving zero-copy shipping is bit-identical to
-    pickling the instance.  Kernel overrides select the oracle kernels;
-    ``pinned_solver`` forces every solve (and non-adaptive register) onto
-    one ladder tier regardless of what was recorded.
+    Kernel overrides select the oracle kernels; ``pinned_solver`` forces
+    every solve (and non-adaptive register) onto one ladder tier
+    regardless of what was recorded.
     """
 
     label: str = "in-loop"
-    engine_semantics: bool = False
-    shm_shipping: bool = False
     jaccard_kernel: "str | None" = None
     lsap_kernel: "str | None" = None
     pinned_solver: "str | None" = None
@@ -556,74 +541,6 @@ def _first_mismatch(recorded: dict, replayed: dict) -> "tuple | None":
         if recorded.get(key) != replayed.get(key):
             return key, recorded.get(key), replayed.get(key)
     return None
-
-
-def _run_prepared(
-    prepared: PreparedSolve, variant: ReplayVariant
-) -> dict[str, tuple[str, ...]]:
-    """The solve itself, under in-loop, engine, or zero-copy semantics."""
-    if variant.shm_shipping:
-        return _run_prepared_shm(prepared)
-    if not variant.engine_semantics:
-        return execute_prepared(prepared)
-    # The engine's exact worker path: slim the instance (the worker
-    # recomputes diversity from the keyword matrix), pickle, solve the
-    # unpickled copy.  Run here in-process; determinism must not care.
-    from .engine import EngineRequest, _solve_blob
-
-    slim_instance = copy.copy(prepared.instance)
-    slim_instance.__dict__.pop("diversity", None)
-    request = EngineRequest(
-        worker_ids=tuple(prepared.worker_ids),
-        instance=slim_instance,
-        solver_name=prepared.solver_name,
-        seed=prepared.seed,
-    )
-    blob = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
-    return _solve_blob(blob).assigned
-
-
-def _run_prepared_shm(prepared: PreparedSolve) -> dict[str, tuple[str, ...]]:
-    """The engine's zero-copy path, end to end, against a real segment.
-
-    Publishes this solve's candidates into a throwaway
-    :class:`~repro.serve.shm.TaskMatrixStore`, ships a
-    :class:`~repro.serve.engine.ShmSolveRequest` through the same pickled
-    blob the process pool would carry, and translates the worker's
-    synthetic positional ids back — exactly the live engine's shm branch,
-    minus the process boundary the plain engine variant already covers.
-    """
-    from .engine import ShmSolveRequest, _solve_blob
-    from .shm import TaskMatrixStore
-
-    candidates = prepared.candidates
-    instance = prepared.instance
-    store = TaskMatrixStore(
-        candidates, n_bits=instance.workers.matrix.shape[1]
-    )
-    try:
-        rows = store.rows_for(candidates)
-        ref = store.acquire()
-        request = ShmSolveRequest(
-            worker_ids=tuple(prepared.worker_ids),
-            worker_matrix=instance.workers.matrix,
-            alphas=instance.alphas(),
-            betas=instance.betas(),
-            segment=ref,
-            row_indices=rows,
-            x_max=instance.x_max,
-            solver_name=prepared.solver_name,
-            seed=prepared.seed,
-        )
-        blob = pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)
-        assigned = _solve_blob(blob).assigned
-        store.release(ref.version)
-    finally:
-        store.close()
-    return {
-        w: tuple(candidates[int(s)].task_id for s in ids)
-        for w, ids in assigned.items()
-    }
 
 
 @dataclass
@@ -925,7 +842,7 @@ def _apply_event(
         return _apply_lease(event, state, variant)
 
     if event_type == "commit":
-        return _apply_commit(event, state, variant, report)
+        return _apply_commit(event, state, report)
 
     if event_type == "abandon":
         prepared = state.leases.pop(event["lease_id"], None)
@@ -1056,7 +973,6 @@ def _apply_lease(
 def _apply_commit(
     event: dict,
     state: _ReplayState,
-    variant: ReplayVariant,
     report: ReplayReport,
 ) -> "Divergence | None":
     service = state.service
@@ -1074,7 +990,7 @@ def _apply_commit(
             lease_id=lease_id,
             trace_ids=trace_ids,
         )
-    assigned = _run_prepared(prepared, variant)
+    assigned = execute_prepared(prepared)
     replayed_events = service.commit_solve(
         prepared, assigned, event["wall_time"]
     )
@@ -1118,14 +1034,8 @@ def default_variants(
     """The differential panel: every configuration that must agree."""
     variants = [
         ReplayVariant("in-loop"),
-        ReplayVariant("engine", engine_semantics=True),
-        ReplayVariant("engine+shm", engine_semantics=True, shm_shipping=True),
         ReplayVariant("jaccard-dense", jaccard_kernel="dense"),
         ReplayVariant("lsap-reference", lsap_kernel="reference"),
-        ReplayVariant("lsap-warm", lsap_kernel="warm"),
-        ReplayVariant(
-            "engine+dense", engine_semantics=True, jaccard_kernel="dense"
-        ),
     ]
     if pin_tier is not None:
         variants.append(ReplayVariant(f"pin:{pin_tier}", pinned_solver=pin_tier))

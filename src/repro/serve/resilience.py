@@ -390,13 +390,6 @@ class FaultPlan:
             surfaces as a 409.
         corrupt_body_p: Probability a non-empty request body is corrupted
             before dispatch (the daemon must reject it with a 400).
-        worker_crash_p: Probability a solve shipped to the process-pool
-            engine carries a crash order — the worker process dies mid-solve
-            with ``os._exit``, breaking the pool exactly like an OOM kill.
-            Only meaningful with ``--solver-workers > 0``.
-        max_worker_crashes: Cap on injected worker crashes (``None`` =
-            unlimited); capping lets tests assert recovery after the pool
-            rebuild.
     """
 
     seed: int = 0
@@ -407,13 +400,11 @@ class FaultPlan:
     drop_connection_p: float = 0.0
     drop_response_p: float = 0.0
     corrupt_body_p: float = 0.0
-    worker_crash_p: float = 0.0
-    max_worker_crashes: int | None = None
 
     def __post_init__(self) -> None:
         for name in (
             "solve_delay_p", "solve_fail_p", "drop_connection_p",
-            "drop_response_p", "corrupt_body_p", "worker_crash_p",
+            "drop_response_p", "corrupt_body_p",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -423,10 +414,6 @@ class FaultPlan:
         if self.max_solve_delays is not None and self.max_solve_delays < 0:
             raise ValueError(
                 f"max_solve_delays must be >= 0, got {self.max_solve_delays}"
-            )
-        if self.max_worker_crashes is not None and self.max_worker_crashes < 0:
-            raise ValueError(
-                f"max_worker_crashes must be >= 0, got {self.max_worker_crashes}"
             )
 
     def to_dict(self) -> dict:
@@ -459,10 +446,6 @@ class FaultInjector:
         self.plan = plan
         self._rng = ensure_rng(plan.seed)
         self._delays_injected = 0
-        self._crashes_injected = 0
-        self._worker_crashes = registry.counter(
-            "serve_fault_worker_crashes_total", "Injected worker-process crashes"
-        )
         self._solve_delays = registry.counter(
             "serve_fault_solve_delays_total", "Injected solve delays"
         )
@@ -498,16 +481,6 @@ class FaultInjector:
                 if self.plan.solve_delay_s > 0:
                     time.sleep(self.plan.solve_delay_s)
 
-    def crash_worker(self) -> bool:
-        """Whether the next engine solve should kill its worker process."""
-        if self._draw(self.plan.worker_crash_p):
-            limit = self.plan.max_worker_crashes
-            if limit is None or self._crashes_injected < limit:
-                self._crashes_injected += 1
-                self._worker_crashes.inc()
-                return True
-        return False
-
     def drop_connection(self) -> bool:
         """Whether to close the current connection without responding."""
         if self._draw(self.plan.drop_connection_p):
@@ -538,5 +511,4 @@ class FaultInjector:
         return {
             "plan": self.plan.to_dict(),
             "solve_delays_injected": self._delays_injected,
-            "worker_crashes_injected": self._crashes_injected,
         }

@@ -5,22 +5,21 @@ assignment iteration serves every worker currently due (``W^i``), not one
 solve per worker.  :class:`SolveScheduler` reproduces that shape behind the
 HTTP boundary — completion requests *mark workers due* and await a future;
 a background loop coalesces everything that became due within a configurable
-batch window into a single :meth:`AssignmentService.reassign_workers` call,
-then resolves each waiter with its worker's freshly installed display event.
+batch window into a single ``solve_batch`` call, then resolves each waiter
+with its worker's freshly installed display event.
 
-With a synchronous ``solve_batch`` the solver briefly occupies the event
-loop; micro-batching is precisely what keeps that affordable (one solver
-invocation per tick instead of one per request).  With a *coroutine*
-``solve_batch`` — the :class:`repro.serve.engine.SolveEngine` path — batches
-are dispatched as concurrent tasks (bounded by ``max_concurrency``) and the
-solve compute leaves the loop entirely.
+The solver briefly occupies the event loop; micro-batching is precisely
+what keeps that affordable (one solver invocation per tick instead of one
+per request).  A deployment that needs more cores runs more daemons behind
+the consistent-hash router (:mod:`repro.serve.shard`), not more solver
+processes behind one loop.
 
 Tracing: :meth:`submit` accepts the request's trace and opens its ``queue``
 span; when the batch lands, the stage spans collected in the batch's
 :class:`~repro.serve.tracing.SolveContext` are adopted into every member
-trace.  All scheduler metrics — sync and async paths alike — flow through
-one :class:`~repro.serve.tracing.SpanMetrics` seam fed with the batch span,
-so the ``serve_solve*`` family cannot drift from what the traces record.
+trace.  All scheduler metrics flow through one
+:class:`~repro.serve.tracing.SpanMetrics` seam fed with the batch span, so
+the ``serve_solve*`` family cannot drift from what the traces record.
 """
 
 from __future__ import annotations
@@ -64,9 +63,10 @@ class SolveScheduler:
     """Coalesces due-for-reassignment workers into batched HTA solves.
 
     Args:
-        solve_batch: Called with the deduplicated worker ids of one batch
-            (plus the batch's :class:`SolveContext` when its signature has a
-            second parameter); returns the installed display events keyed by
+        solve_batch: A synchronous callable, run on the event loop with the
+            deduplicated worker ids of one batch (plus the batch's
+            :class:`SolveContext` when its signature has a second
+            parameter); returns the installed display events keyed by
             worker (a worker may be absent when the pool had nothing left
             for it).
         registry: Metrics sink; the scheduler owns ``serve_solves_total``,
@@ -82,10 +82,6 @@ class SolveScheduler:
         solve_observer: Optional callback receiving each solve's wall time
             in seconds (successes only) — the degradation controller's
             overload signal.
-        max_concurrency: Batches allowed in flight at once when
-            ``solve_batch`` is a coroutine function (the off-loop engine
-            path).  Ignored for synchronous ``solve_batch``, which always
-            executes one batch at a time on the loop.
     """
 
     def __init__(
@@ -95,23 +91,16 @@ class SolveScheduler:
         max_batch_delay: float = 0.05,
         max_batch_size: int = 64,
         solve_observer: "Callable[[float], None] | None" = None,
-        max_concurrency: int = 1,
     ):
         if max_batch_delay < 0:
             raise ValueError(f"max_batch_delay must be >= 0, got {max_batch_delay}")
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_concurrency < 1:
-            raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
         self._solve_batch = solve_batch
-        self._is_async = inspect.iscoroutinefunction(solve_batch)
         self._accepts_ctx = _accepts_context(solve_batch)
         self._max_batch_delay = max_batch_delay
         self._max_batch_size = max_batch_size
         self._solve_observer = solve_observer
-        self._max_concurrency = max_concurrency
-        self._concurrency = asyncio.Semaphore(max_concurrency)
-        self._inflight: set[asyncio.Task] = set()
         self._due: dict[str, None] = {}  # insertion-ordered set
         self._waiters: dict[str, list[_Waiter]] = {}
         self._wakeup: asyncio.Event = asyncio.Event()
@@ -153,14 +142,12 @@ class SolveScheduler:
         self._runner = asyncio.get_running_loop().create_task(self._run())
 
     async def stop(self) -> None:
-        """Stop the loop, await in-flight solves, fail still-waiting futures."""
+        """Stop the loop and fail still-waiting futures."""
         self._closed = True
         self._wakeup.set()
         if self._runner is not None:
             await self._runner
             self._runner = None
-        if self._inflight:
-            await asyncio.gather(*self._inflight, return_exceptions=True)
         for waiters in self._waiters.values():
             for future, _, _ in waiters:
                 if not future.done():
@@ -170,24 +157,19 @@ class SolveScheduler:
         self._idle.set()
 
     async def quiesce(self) -> None:
-        """Block until no batch is queued or in flight (drain support).
+        """Block until no batch is queued (drain support).
 
         Event-driven, not polled: queued work wakes the batching loop as
         usual, and every landed batch (success or failure) signals the idle
         event through :meth:`_finish_batch`, so this coroutine sleeps
-        between state changes instead of spinning.  New :meth:`submit`
-        calls made while quiescing extend the wait — the drain protocol
-        stops feeding the scheduler *before* quiescing.
+        between state changes instead of spinning.  A batch executes on the
+        loop in one step, so once nothing is queued nothing is in flight.
+        New :meth:`submit` calls made while quiescing extend the wait — the
+        drain protocol stops feeding the scheduler *before* quiescing.
         """
-        while True:
-            active = [t for t in self._inflight if not t.done()]
-            if not self._due and not self._waiters and not active:
-                return
-            if active:
-                await asyncio.wait(active, return_when=asyncio.ALL_COMPLETED)
-            else:
-                self._idle.clear()
-                await self._idle.wait()
+        while self._due or self._waiters:
+            self._idle.clear()
+            await self._idle.wait()
 
     def submit(
         self, worker_id: str, trace: "Trace | None" = None
@@ -223,8 +205,6 @@ class SolveScheduler:
                 self._drain_overflow = False
             else:
                 await self._collect_stragglers()
-            if self._is_async:
-                await self._await_capacity()
             if self._closed:
                 return
             batch = list(self._due)[: self._max_batch_size]
@@ -241,10 +221,7 @@ class SolveScheduler:
             for entries in waiters.values():
                 for _, _, queue_span in entries:
                     queue_span.end(batch_size=len(batch))
-            if self._is_async:
-                await self._dispatch_async(batch, waiters)
-            else:
-                self._execute(batch, waiters)
+            self._execute(batch, waiters)
 
     async def _collect_stragglers(self) -> None:
         """Hold the batch open for ``max_batch_delay`` to coalesce arrivals."""
@@ -263,45 +240,6 @@ class SolveScheduler:
                 self._wakeup.set()  # restore: the due set is non-empty
                 return
 
-    async def _await_capacity(self) -> None:
-        """Back-pressure batching: while every concurrency slot is busy,
-        keep the forming batch open instead of cutting it.
-
-        Under saturation the due set keeps absorbing arrivals, so batches
-        self-size to the solve capacity — per-batch solve cost is dominated
-        by the candidate set, not the batch size, so shipping many tiny
-        batches under load multiplies total solve compute for nothing.  The
-        wait ends the moment a slot frees (latency is never traded when
-        capacity is available) or when the batch hits ``max_batch_size``
-        (the size-capped batch is cut and queues on the engine's slot
-        semaphore, recorded as its ``dispatch_wait`` span).
-        """
-        while not self._closed and len(self._due) < self._max_batch_size:
-            active = [t for t in self._inflight if not t.done()]
-            if len(active) < self._max_concurrency:
-                return
-            await asyncio.wait(
-                active, return_when=asyncio.FIRST_COMPLETED, timeout=0.1
-            )
-
-    async def _dispatch_async(
-        self, batch: list[str], waiters: dict[str, list[_Waiter]]
-    ) -> None:
-        """Launch one batch immediately as a task.
-
-        The concurrency slot is acquired *inside* the task
-        (:meth:`_execute_async`), never here — acquiring first would park
-        the batching loop behind the in-flight pool round-trip, so a worker
-        due right after a dispatch could not even start its batch window
-        until the previous solve came back (measured as a ~3x assign-p95
-        regression over the in-loop path at one in-flight batch).
-        """
-        task = asyncio.get_running_loop().create_task(
-            self._execute_async(batch, waiters)
-        )
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
-
     def _call_solve(self, batch: list[str], ctx: SolveContext):
         if self._accepts_ctx:
             return self._solve_batch(batch, ctx)
@@ -313,8 +251,8 @@ class SolveScheduler:
     ) -> None:
         """Carry the member requests' trace ids into the batch context.
 
-        The solve path (engine requests, replay journals) correlates its
-        records back to the requests that rode the batch through these.
+        The solve path (replay journals) correlates its records back to the
+        requests that rode the batch through these.
         """
         trace_ids = [
             trace.trace_id
@@ -325,30 +263,6 @@ class SolveScheduler:
         if trace_ids:
             ctx.attrs["trace_id"] = trace_ids[0]
             ctx.attrs["trace_ids"] = trace_ids
-
-    async def _execute_async(
-        self, batch: list[str], waiters: dict[str, list[_Waiter]]
-    ) -> None:
-        ctx = SolveContext()
-        self._seed_context(ctx, waiters)
-        wait_started = time.perf_counter()
-        await self._concurrency.acquire()
-        waited = time.perf_counter() - wait_started
-        if self._closed:
-            self._concurrency.release()
-            self._fail_waiters(waiters, RuntimeError("scheduler stopped"))
-            self._idle.set()
-            return
-        ctx.add_span("dispatch_wait", waited, abs_start=wait_started)
-        started = time.perf_counter()
-        try:
-            events = await self._call_solve(batch, ctx)
-        except Exception as exc:  # resolve waiters; the daemon stays up
-            self._finish_batch(batch, waiters, ctx, started, error=exc)
-            return
-        finally:
-            self._concurrency.release()
-        self._finish_batch(batch, waiters, ctx, started, events=events)
 
     def _execute(
         self, batch: list[str], waiters: dict[str, list[_Waiter]]
@@ -372,8 +286,8 @@ class SolveScheduler:
         events: dict[str, TasksAssigned] | None = None,
         error: Exception | None = None,
     ) -> None:
-        """One exit point for both solve paths: metrics through the span
-        seam, stage spans into member traces, futures resolved or failed."""
+        """One exit point per batch: metrics through the span seam, stage
+        spans into member traces, futures resolved or failed."""
         elapsed = time.perf_counter() - started
         batch_span = Span(
             "solve_batch",
@@ -405,12 +319,3 @@ class SolveScheduler:
                 elif not future.done():
                     future.set_result(events.get(worker_id))
         self._idle.set()
-
-    @staticmethod
-    def _fail_waiters(
-        waiters: dict[str, list[_Waiter]], error: Exception
-    ) -> None:
-        for entries in waiters.values():
-            for future, _, _ in entries:
-                if not future.done():
-                    future.set_exception(error)

@@ -3,10 +3,8 @@
 `/metrics` answers *how much* — counters and latency histograms over the
 whole daemon.  This module answers *where*: every sampled request gets a
 trace ID minted at ingress, and each stage the request passes through —
-queue wait on the solve scheduler, batch solve (in-loop) or
-prepare/pickle/unpickle/solve/commit (engine mode) — records a typed
-:class:`Span` with its real wall time, including phases measured inside the
-solver worker *process* and shipped back with the result.
+queue wait on the solve scheduler, then the batch's prepare/solve/commit —
+records a typed :class:`Span` with its real wall time.
 
 Three consumers sit on top of the span stream:
 
@@ -16,9 +14,8 @@ Three consumers sit on top of the span stream:
   per line, aggregated by ``repro trace summarize`` into a per-stage
   latency breakdown;
 * :class:`SpanMetrics` — the single seam through which span durations feed
-  the Prometheus histograms (``serve_stage_*_seconds`` and the scheduler /
-  engine metric families), so histograms can never drift from what the
-  traces say.
+  the Prometheus histograms (``serve_stage_*_seconds`` and the scheduler
+  metric family), so histograms can never drift from what the traces say.
 
 Sampling is systematic, not random: a rate of ``1/k`` samples exactly every
 k-th request, which keeps tests deterministic and the disabled path
@@ -54,9 +51,7 @@ class Span:
     has been adopted into a trace; spans still sitting in a
     :class:`SolveContext` carry the absolute ``time.perf_counter()`` start
     instead (``Trace.adopt`` converts).  Durations are always plain wall
-    seconds.  Spans measured in another process (the in-worker solve) keep
-    their exact duration but an approximated start — the attrs carry
-    ``measured: "worker"`` so consumers know.
+    seconds.
     """
 
     name: str
@@ -283,7 +278,7 @@ class SolveContext:
     A batch serves many parked requests at once, so its stage spans are
     recorded once here (with absolute ``perf_counter`` starts) and adopted
     into every member trace when the batch lands.  ``attrs`` accumulates
-    batch-level facts (tier, payload size) that the scheduler folds into
+    batch-level facts (tier, trace ids) that the scheduler folds into
     its batch span.
     """
 
@@ -309,29 +304,14 @@ class SolveContext:
         span.duration = time.perf_counter() - started
         self.spans.append(span)
 
-    def add_span(
-        self,
-        name: str,
-        duration: float,
-        abs_start: float | None = None,
-        status: str = "ok",
-        error: str | None = None,
-        **attrs,
-    ) -> Span:
-        """Append an externally measured stage (e.g. in-worker solve time)."""
-        start = time.perf_counter() - duration if abs_start is None else abs_start
-        span = Span(name, start, float(duration), attrs, status, error)
-        self.spans.append(span)
-        return span
-
 
 class SpanMetrics:
     """The single seam from finished spans to metric updates.
 
     Every code path that times a stage reports through :meth:`observe`, so
     counter/histogram updates cannot drift from what the trace spans say —
-    the scheduler's sync and async paths, the engine, and the recorder's
-    per-stage histograms all share this one routing table.
+    the scheduler and the recorder's per-stage histograms share this one
+    routing table.
 
     Routing semantics (unit-tested in ``tests/test_serve_tracing.py``):
 

@@ -14,15 +14,7 @@ from repro.core.distance import pairwise_jaccard
 from repro.matching.lsap import brute_force_lsap, hungarian
 from repro.perf import config as perf_config
 from repro.perf.bitpack import PackedMatrix, pack_rows, packed_intersections, popcount
-from repro.perf.lsap_kernels import (
-    _MAX_CONSECUTIVE_FAILURES,
-    _RETRY_PERIOD,
-    dual_cache_stats,
-    hungarian_min_rect,
-    hungarian_min_rect_warm,
-    reset_dual_cache,
-    warm_context,
-)
+from repro.perf.lsap_kernels import hungarian_min_rect
 
 #: Keyword-space widths straddling the uint64 word boundaries.
 WIDTHS = (1, 7, 63, 64, 65, 130)
@@ -219,138 +211,3 @@ class TestHungarianDifferential:
 
     def test_min_rect_empty(self):
         assert hungarian_min_rect(np.zeros((0, 4))).shape == (0,)
-
-
-class TestWarmLsap:
-    """The warm-started kernel must be bit-identical to the cold solver.
-
-    Warm starts only survive a certificate proving the warm assignment is
-    the *unique* optimum of the new cost matrix; every certificate failure
-    falls back to the cold solve, so the assignment can never differ — the
-    suite checks that invariant on exactly the streams the cache targets
-    (repeated solves of one worker set over a shrinking pool) and on the
-    degenerate tie-heavy costs most likely to break it.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        reset_dual_cache()
-        yield
-        reset_dual_cache()
-
-    def test_repeat_solve_hits_and_stays_identical(self):
-        rng = np.random.default_rng(0)
-        cost = rng.random((8, 40))
-        cold = hungarian_min_rect(cost)
-        with warm_context(("w1", "w2")):
-            for _ in range(5):
-                np.testing.assert_array_equal(
-                    hungarian_min_rect_warm(cost), cold
-                )
-        assert dual_cache_stats()["hits"] >= 1
-
-    def test_shrinking_pool_stream_identical(self):
-        """The serving shape: same workers, pool shrinking between ticks."""
-        rng = np.random.default_rng(1)
-        base = rng.random((6, 80)) + rng.random(80)[None, :]
-        with warm_context(("batch",)):
-            for n_cols in range(80, 20, -4):
-                cost = base[:, :n_cols]
-                warm = hungarian_min_rect_warm(cost)
-                np.testing.assert_array_equal(warm, hungarian_min_rect(cost))
-        stats = dual_cache_stats()
-        assert stats["hits"] > 0, stats
-
-    def test_degenerate_ties_stay_identical(self):
-        """Integer costs with heavy ties: certificates mostly fail, the
-        fallback must keep the answer bit-identical anyway."""
-        rng = np.random.default_rng(2)
-        with warm_context("ties"):
-            for _ in range(30):
-                n_rows = int(rng.integers(2, 7))
-                n_cols = int(rng.integers(n_rows, 14))
-                cost = rng.integers(0, 3, size=(n_rows, n_cols)).astype(float)
-                np.testing.assert_array_equal(
-                    hungarian_min_rect_warm(cost), hungarian_min_rect(cost)
-                )
-
-    def test_unrelated_streams_stay_identical(self):
-        """Freshly random costs every call: warm attempts that survive the
-        certificate are still exactly the cold answer."""
-        rng = np.random.default_rng(3)
-        with warm_context("chaos"):
-            for _ in range(40):
-                cost = rng.random((7, 25)) * 10
-                np.testing.assert_array_equal(
-                    hungarian_min_rect_warm(cost), hungarian_min_rect(cost)
-                )
-
-    def test_failure_cooldown_bounds_certificate_overhead(self):
-        """After consecutive certificate failures the kernel stops paying
-        for warm attempts, probing again only every ``_RETRY_PERIOD``."""
-        rng = np.random.default_rng(4)
-        n_calls = 64
-        with warm_context("degenerate"):
-            for _ in range(n_calls):
-                # All-equal costs: every assignment is optimal, so the
-                # uniqueness certificate must always fail.
-                hungarian_min_rect_warm(np.zeros((4, 9)))
-                rng.random(1)  # keep the loop honest about independence
-        failures = dual_cache_stats()["certificate_failures"]
-        assert failures >= _MAX_CONSECUTIVE_FAILURES
-        assert failures <= _MAX_CONSECUTIVE_FAILURES + n_calls // _RETRY_PERIOD + 1
-
-    def test_contexts_are_isolated(self):
-        rng = np.random.default_rng(5)
-        cost_a = rng.random((5, 20))
-        cost_b = rng.random((5, 20))
-        with warm_context("a"):
-            hungarian_min_rect_warm(cost_a)
-        with warm_context("b"):
-            hungarian_min_rect_warm(cost_b)
-        assert dual_cache_stats()["entries"] == 2
-
-    def test_nested_context_restores_outer(self):
-        rng = np.random.default_rng(6)
-        cost = rng.random((4, 12))
-        with warm_context("outer"):
-            with warm_context("inner"):
-                hungarian_min_rect_warm(cost)
-            hungarian_min_rect_warm(cost)
-            np.testing.assert_array_equal(
-                hungarian_min_rect_warm(cost), hungarian_min_rect(cost)
-            )
-        assert dual_cache_stats()["entries"] == 2
-
-    def test_growing_width_pads_duals(self):
-        """Pools can also grow (open-world arrivals): cached duals are
-        zero-padded to the wider matrix and must stay bit-identical."""
-        rng = np.random.default_rng(7)
-        base = rng.random((5, 60))
-        with warm_context("grow"):
-            for n_cols in (30, 45, 60):
-                cost = base[:, :n_cols]
-                np.testing.assert_array_equal(
-                    hungarian_min_rect_warm(cost), hungarian_min_rect(cost)
-                )
-
-    def test_registered_as_lsap_kernel(self):
-        rng = np.random.default_rng(8)
-        profit = rng.random((6, 18)) * 5
-        cold = hungarian(profit, kernel="vectorized")
-        with perf_config.use_kernel("lsap", "warm"):
-            for _ in range(3):
-                warm = hungarian(profit)
-                np.testing.assert_array_equal(warm.row_to_col, cold.row_to_col)
-                assert warm.value == cold.value
-
-    def test_warm_against_brute_force(self):
-        rng = np.random.default_rng(9)
-        with warm_context("oracle"):
-            for _ in range(40):
-                n_rows = int(rng.integers(1, 6))
-                n_cols = int(rng.integers(n_rows, 9))
-                profit = rng.random((n_rows, n_cols)) * 4
-                warm = hungarian(profit, kernel="warm")
-                assert warm.value == pytest.approx(brute_force_lsap(profit).value)
-                assert warm.is_valid(n_cols)

@@ -1,8 +1,20 @@
-"""Metrics registry: counters, histograms, Prometheus rendering."""
+"""Metrics registry: counters, histograms, Prometheus rendering, and the
+documented metric catalogue."""
 
+import asyncio
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from repro.core import Task, TaskPool, Vocabulary
+from repro.crowd.service import ServiceConfig
+from repro.quality import AdjudicationConfig, GoldConfig, QualityConfig
+from repro.serve.app import AssignmentDaemon, ServeConfig
 from repro.serve.metrics import Counter, Histogram, MetricsRegistry
+from repro.serve.protocol import HttpClient
+from repro.serve.resilience import FaultPlan
 
 
 class TestCounter:
@@ -228,3 +240,112 @@ class TestLabeledCounter:
         registry.labeled_counter("x_total", label_names=["a"])
         with pytest.raises(ValueError):
             registry.labeled_counter("x_total", label_names=["b"])
+
+
+# -- the documented catalogue ------------------------------------------------
+
+SERVING_MD = Path(__file__).resolve().parents[1] / "docs" / "SERVING.md"
+
+#: One metric-table row: | `name` | type | meaning |
+_TABLE_ROW = re.compile(r"^\| `([a-z_<>*]+)` \| (?:counter|gauge|histogram) \|", re.M)
+
+
+def documented_families() -> set[str]:
+    """Every metric named in SERVING.md's tables, minus the router's own."""
+    names = set(_TABLE_ROW.findall(SERVING_MD.read_text(encoding="utf-8")))
+    return {name for name in names if not name.startswith("router_")}
+
+
+def _pattern(name: str) -> "re.Pattern[str]":
+    """A documented name as a regex: ``*`` and ``<placeholder>`` expand."""
+    parts = re.split(r"\*|<[a-z_]+>", name)
+    return re.compile("[a-z_]+".join(re.escape(part) for part in parts) + "$")
+
+
+def emitted_families(tier_policy: str) -> set[str]:
+    """Family names a fully-featured daemon exposes on ``/metrics``."""
+    n_keywords = 16
+    vocab = Vocabulary([f"k{i}" for i in range(n_keywords)])
+    rng = np.random.default_rng(0)
+    pool = TaskPool(
+        [Task(f"t{i}", rng.random(n_keywords) < 0.3) for i in range(300)], vocab
+    )
+    config = ServeConfig(
+        port=0,
+        seed=0,
+        max_batch_delay=0.01,
+        service=ServiceConfig(
+            x_max=5, n_random_pad=2, reassign_after=3, min_pending=1,
+            candidate_cap=None,
+        ),
+        quality=QualityConfig(
+            gold=GoldConfig(rate=1.0, seed=3, n_labels=4),
+            adjudication=AdjudicationConfig(redundancy=2),
+        ),
+        fault_plan=FaultPlan(seed=1, solve_delay_p=0.5),
+        estimator="bayes",
+        bandit="thompson",
+        tier_policy=tier_policy,
+        trace_sample_rate=1.0,
+    )
+
+    async def scenario():
+        daemon = AssignmentDaemon(pool, config)
+        await daemon.start()
+        client = HttpClient("127.0.0.1", daemon.port)
+        try:
+            _, body = await client.request(
+                "POST", "/workers", {"worker_id": "w", "keywords": ["k1"]}
+            )
+            pending = body["display"]["pending"]
+            for _ in range(8):
+                _, body = await client.request(
+                    "POST",
+                    "/complete",
+                    {"worker_id": "w", "task_id": pending[0], "answer": 1},
+                )
+                pending = body["display"]["pending"]
+            status, text = await client.request("GET", "/metrics")
+            assert status == 200
+            return text
+        finally:
+            await client.close()
+            await daemon.stop()
+
+    text = asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+    return set(re.findall(r"^# TYPE (\S+) ", text, re.M))
+
+
+class TestMetricCatalogue:
+    """SERVING.md's metric tables and the daemon's ``/metrics`` agree in
+    both directions.  The streak and bandit tier policies export different
+    tier families, so the emitted side is the union of one run of each."""
+
+    @pytest.fixture(scope="class")
+    def emitted(self):
+        return emitted_families("streak") | emitted_families("bandit")
+
+    def test_every_emitted_family_is_documented(self, emitted):
+        patterns = [_pattern(name) for name in documented_families()]
+        undocumented = sorted(
+            family for family in emitted
+            if not any(p.match(family) for p in patterns)
+        )
+        assert not undocumented, f"missing from SERVING.md: {undocumented}"
+
+    def test_every_documented_family_is_emitted(self, emitted):
+        never_emitted = sorted(
+            name for name in documented_families()
+            if not any(_pattern(name).match(family) for family in emitted)
+        )
+        assert not never_emitted, f"documented but not emitted: {never_emitted}"
+
+    def test_fault_wildcard_expands_to_every_fault_kind(self, emitted):
+        faults = {f for f in emitted if _pattern("serve_fault_*_total").match(f)}
+        assert faults == {
+            "serve_fault_solve_delays_total",
+            "serve_fault_solve_failures_total",
+            "serve_fault_dropped_connections_total",
+            "serve_fault_dropped_responses_total",
+            "serve_fault_corrupted_bodies_total",
+        }

@@ -3,10 +3,10 @@ the recorder exposed (duplicate completion delivery, snapshot/lease race).
 
 The tentpole claims here:
 
-* a journal recorded by a live daemon — in-loop or with a process-pool
-  engine, healthy or under fault injection — replays to *bit-identical*
-  display events and final state hash under every configuration in the
-  differential panel;
+* a journal recorded by a live daemon — healthy or under fault
+  injection — replays to *bit-identical* display events and final state
+  hash under every configuration in the differential panel, including
+  journals whose header was written by older daemons;
 * a tampered journal is pinpointed: first divergent seq, offending lease,
   the trace ids that rode that solve;
 * schema drift (unknown event type, missing field, seq gap, version bump)
@@ -31,7 +31,6 @@ from repro.serve.protocol import HttpClient
 from repro.serve.replay import (
     JOURNAL_VERSION,
     ReplayError,
-    ReplayVariant,
     default_variants,
     load_journal,
     replay_differential,
@@ -230,13 +229,10 @@ class TestJournalSchema:
 
 
 class TestBitIdentity:
-    def test_inloop_journal_replays_under_both_semantics(self, recorded):
+    def test_inloop_journal_replays_under_every_variant(self, recorded):
         journal = load_journal(recorded)
         pool = make_pool()
-        for variant in (
-            ReplayVariant("in-loop"),
-            ReplayVariant("engine", engine_semantics=True),
-        ):
+        for variant in default_variants():
             report = replay_journal(journal, pool, variant)
             assert report.ok, report.to_dict()
             assert report.state_verified
@@ -248,8 +244,7 @@ class TestBitIdentity:
     def test_differential_panel_agrees(self, recorded):
         reports = replay_differential(load_journal(recorded), make_pool())
         assert [r.variant for r in reports] == [
-            "in-loop", "engine", "engine+shm", "jaccard-dense",
-            "lsap-reference", "lsap-warm", "engine+dense",
+            "in-loop", "jaccard-dense", "lsap-reference",
         ]
         for report in reports:
             assert report.ok and report.state_verified, report.to_dict()
@@ -258,10 +253,30 @@ class TestBitIdentity:
         with pytest.raises(ReplayError, match="corpus mismatch"):
             replay_journal(load_journal(recorded), make_pool(seed=1))
 
-    def test_engine_recorded_journal_replays_in_loop(self, tmp_path):
-        journal = tmp_path / "engine.jsonl"
-        record_journal(journal, solver_workers=2)
-        reports = replay_differential(load_journal(journal), make_pool())
+    def test_legacy_solver_workers_header_replays(self, tmp_path):
+        """Daemons that still had a process-pool solver wrote
+        ``solver_workers`` and the crash-injection plan fields into the
+        header's ``recorded_with``; those journals must keep replaying."""
+        journal = tmp_path / "run.jsonl"
+        record_journal(journal, fault_plan=FaultPlan(seed=3, solve_fail_p=0.1))
+
+        def legacy_header(record):
+            if record["type"] == "header":
+                plan = record["recorded_with"]["fault_plan"]
+                plan.update(worker_crash_p=0.0, max_worker_crashes=None)
+                record["recorded_with"] = {
+                    "solver_workers": 2, "fault_plan": plan,
+                }
+            return record
+
+        legacy = rewrite(journal, tmp_path / "legacy.jsonl", legacy_header)
+        assert load_journal(legacy).header["recorded_with"][
+            "solver_workers"
+        ] == 2
+        reports = replay_differential(load_journal(legacy), make_pool())
+        assert [r.variant for r in reports] == [
+            v.label for v in default_variants()
+        ]
         for report in reports:
             assert report.ok and report.state_verified, report.to_dict()
             assert report.solves_committed >= 2
@@ -557,7 +572,7 @@ class TestSnapshotLeaseRace:
                 client = HttpClient("127.0.0.1", daemon.port)
                 try:
                     await drive_session(client, n_workers=3, rounds=4)
-                    # An in-flight engine lease, held across the snapshot.
+                    # An outstanding lease, held across the snapshot.
                     prepared = daemon.service.prepare_solve(["w1", "w2"])
                     assert prepared is not None
                     leased = {t.task_id for t in prepared.candidates}
@@ -584,8 +599,7 @@ class TestSnapshotLeaseRace:
 
 
 class TestReplayProperty:
-    """Any recorded journal replays bit-identically, in-loop and under the
-    engine's worker-process solve semantics."""
+    """Any recorded journal replays bit-identically under every variant."""
 
     @settings(max_examples=5, deadline=None)
     @given(
@@ -627,10 +641,7 @@ class TestReplayProperty:
             )
             journal = load_journal(journal_path)
             pool = make_pool(200)
-            for variant in (
-                ReplayVariant("in-loop"),
-                ReplayVariant("engine", engine_semantics=True),
-            ):
+            for variant in default_variants():
                 report = replay_journal(journal, pool, variant)
                 assert report.ok, report.to_dict()
                 assert report.state_verified
@@ -706,8 +717,8 @@ class TestArrivalReplay:
         self, seed, pattern, chaos
     ):
         """Any arrival pattern — healthy or under response-drop/solve-fail
-        chaos — records a journal that replays bit-identically under both
-        solve semantics."""
+        chaos — records a journal that replays bit-identically under every
+        variant."""
         plan = (
             FaultPlan(seed=seed, drop_response_p=0.1, solve_fail_p=0.1)
             if chaos
@@ -735,10 +746,7 @@ class TestArrivalReplay:
             assert any(
                 e["type"] == "task_arrival" for e in journal.events
             )
-            for variant in (
-                ReplayVariant("in-loop"),
-                ReplayVariant("engine", engine_semantics=True),
-            ):
+            for variant in default_variants():
                 report = replay_journal(journal, make_pool(200), variant)
                 assert report.ok, report.to_dict()
                 assert report.state_verified
@@ -748,10 +756,7 @@ class TestArrivalReplay:
 class TestDefaultVariants:
     def test_panel_composition(self):
         labels = [v.label for v in default_variants()]
-        assert labels == [
-            "in-loop", "engine", "engine+shm", "jaccard-dense",
-            "lsap-reference", "lsap-warm", "engine+dense",
-        ]
+        assert labels == ["in-loop", "jaccard-dense", "lsap-reference"]
         pinned = default_variants(pin_tier="hta-gre-rel")[-1]
         assert pinned.label == "pin:hta-gre-rel"
         assert pinned.pinned_solver == "hta-gre-rel"

@@ -187,6 +187,18 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown fault-plan keys"):
             FaultPlan.from_dict({"seed": 1, "explode_p": 1.0})
 
+    def test_removed_worker_crash_keys_are_refused_by_name(self, tmp_path):
+        """Plans written for the removed process-pool solver still carry
+        ``worker_crash_p``; loading one fails loudly, naming the key."""
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(
+            {"seed": 1, "solve_fail_p": 0.1, "worker_crash_p": 0.5,
+             "max_worker_crashes": 1}
+        ))
+        with pytest.raises(ValueError, match="worker_crash_p") as excinfo:
+            FaultPlan.from_file(path)
+        assert "max_worker_crashes" in str(excinfo.value)
+
     def test_file_roundtrip(self, tmp_path):
         plan = FaultPlan(
             seed=9, solve_delay_p=0.5, solve_delay_s=0.1, max_solve_delays=3,
@@ -713,17 +725,19 @@ class TestSnapshotRestore:
 
 
 class TestTracedFailureEdges:
-    """The two untested windows: a deadline expiring after the scheduler
-    dequeued the batch but before the solve landed, and a worker process
-    dying mid-solve.  Both must answer the request AND leave a complete,
-    closed trace carrying an error span — never a hung request or a leak."""
+    """A deadline expiring while the request's batch is still forming must
+    answer the request AND leave a complete, closed trace carrying an error
+    span — never a hung request or a leak."""
 
-    def test_deadline_expires_between_dequeue_and_solve_completion(self):
+    def test_deadline_in_queue_leaves_closed_trace(self):
         async def scenario():
+            # The batch window outlasts the deadline: the request answers
+            # while still queued, and its batch is dequeued and solved
+            # after the trace has closed.
             daemon = AssignmentDaemon(
                 make_pool(300),
                 serve_config(
-                    max_batch_delay=0.0,
+                    max_batch_delay=0.25,
                     service=ServiceConfig(
                         x_max=5, n_random_pad=2, reassign_after=1,
                         min_pending=1, candidate_cap=None,
@@ -732,17 +746,6 @@ class TestTracedFailureEdges:
                     trace_sample_rate=1.0,
                 ),
             )
-            # Shadow the batch solve with a slow coroutine BEFORE start():
-            # the scheduler dequeues and dispatches immediately (async
-            # path), then the request's deadline expires while the solve is
-            # still in flight — the exact window under test.
-            original = daemon._solve_batch
-
-            async def slow_solve(worker_ids, ctx):
-                await asyncio.sleep(0.25)
-                return original(worker_ids, ctx)
-
-            daemon._solve_batch = slow_solve
             await daemon.start()
             client = HttpClient("127.0.0.1", daemon.port)
             try:
@@ -780,69 +783,18 @@ class TestTracedFailureEdges:
         assert status == 200
         assert body["deadline_exceeded"] is True
         assert body["reassigned"] is False
-        # Its trace is complete: closed root, queue span from the dequeue,
-        # and a deadline error span marking why it ended early.
+        # Its trace is complete: closed root and a deadline error span
+        # marking why it ended early.
         assert trace["closed"] is True
         names = [span["name"] for span in trace["spans"]]
-        assert "queue" in names
         deadline_span = trace["spans"][names.index("deadline")]
         assert deadline_span["status"] == "error"
         assert "deadline" in deadline_span["error"]
-        # The straggler solve's spans were dropped and counted, not leaked
-        # into the closed trace.
+        # The queue span (sealed at dequeue) and the straggler solve's
+        # spans were dropped and counted, not leaked into the closed trace.
         assert metrics["serve_trace_late_spans_total"] > 0
+        assert "queue" not in names
         assert "solve" not in names
         # And the solve still installed the fresh display afterwards.
         assert polled["display"]["iteration"] == 1
         assert metrics["serve_deadline_exceeded_total"] == 1
-
-    def test_worker_process_crash_mid_solve(self):
-        async def check(daemon, client):
-            status, body = await client.request(
-                "POST", "/workers", {"worker_id": "vic", "keywords": ["k2"]}
-            )
-            assert status == 200
-            first = body["display"]["pending"][0]
-            # First reassignment: the injected crash kills the solver
-            # process mid-solve (BrokenProcessPool).
-            status, body = await client.request(
-                "POST", "/complete", {"worker_id": "vic", "task_id": first}
-            )
-            crash_trace_id = client.last_headers["x-trace-id"]
-            assert status == 200  # stale display, not a 5xx
-            assert body["reassigned"] is False
-            # Second reassignment: the crash budget is spent and the pool
-            # was rebuilt, so this one must solve normally.
-            second = body["display"]["pending"][0]
-            status, recovered = await client.request(
-                "POST", "/complete", {"worker_id": "vic", "task_id": second}
-            )
-            assert status == 200
-            trace = daemon.tracer.get(crash_trace_id)
-            return trace.to_dict(), recovered, daemon.registry.snapshot()
-
-        trace, recovered, metrics = with_daemon(
-            check,
-            timeout=60.0,
-            service=ServiceConfig(
-                x_max=5, n_random_pad=2, reassign_after=1, min_pending=1,
-                candidate_cap=None,
-            ),
-            solver_workers=1,
-            fault_plan=FaultPlan(worker_crash_p=1.0, max_worker_crashes=1),
-            trace_sample_rate=1.0,
-        )
-        # The crashed request's trace is complete and carries error spans.
-        assert trace["closed"] is True
-        spans = {span["name"]: span for span in trace["spans"]}
-        assert spans["solve"]["status"] == "error"
-        assert "BrokenProcessPool" in spans["solve"]["error"]
-        assert spans["solve_error"]["status"] == "error"
-        # One injected crash, one pool rebuild, one degraded answer.
-        assert metrics["serve_fault_worker_crashes_total"] == 1
-        assert metrics["serve_engine_pool_rebuilds_total"] == 1
-        assert metrics["serve_degraded_responses_total"] == 1
-        assert metrics["serve_engine_solve_errors_total"] == 1
-        # The rebuilt pool serves the very next solve.
-        assert recovered["reassigned"] is True
-        assert metrics["serve_engine_solves_total"] == 1

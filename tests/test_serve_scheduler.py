@@ -143,145 +143,6 @@ class TestOverflowDrain:
         assert [len(batch) for batch in log] == [2, 1, 2]
 
 
-class TestAsyncSolveBatch:
-    def test_async_batches_overlap(self):
-        async def scenario():
-            active = 0
-            peak = 0
-
-            async def solve(worker_ids):
-                nonlocal active, peak
-                active += 1
-                peak = max(peak, active)
-                await asyncio.sleep(0.05)
-                active -= 1
-                return {w: FakeEvent(w) for w in worker_ids}
-
-            scheduler = SolveScheduler(
-                solve,
-                MetricsRegistry(),
-                max_batch_delay=0.0,
-                max_batch_size=1,
-                max_concurrency=4,
-            )
-            scheduler.start()
-            loop = asyncio.get_running_loop()
-            started = loop.time()
-            results = await asyncio.gather(
-                *[scheduler.submit(f"w{i}") for i in range(4)]
-            )
-            elapsed = loop.time() - started
-            await scheduler.stop()
-            return peak, elapsed, results
-
-        peak, elapsed, results = asyncio.run(scenario())
-        assert peak >= 2  # batches genuinely ran concurrently
-        assert elapsed < 0.18  # four 50 ms solves overlapped, not serialized
-        assert [e.worker_id for e in results] == [f"w{i}" for i in range(4)]
-
-    def test_max_concurrency_bounds_inflight(self):
-        async def scenario():
-            active = 0
-            peak = 0
-
-            async def solve(worker_ids):
-                nonlocal active, peak
-                active += 1
-                peak = max(peak, active)
-                await asyncio.sleep(0.02)
-                active -= 1
-                return {w: FakeEvent(w) for w in worker_ids}
-
-            scheduler = SolveScheduler(
-                solve,
-                MetricsRegistry(),
-                max_batch_delay=0.0,
-                max_batch_size=1,
-                max_concurrency=1,
-            )
-            scheduler.start()
-            await asyncio.gather(*[scheduler.submit(f"w{i}") for i in range(3)])
-            await scheduler.stop()
-            return peak
-
-        assert asyncio.run(scenario()) == 1
-
-    def test_async_error_fails_only_its_batch(self):
-        async def scenario():
-            async def solve(worker_ids):
-                if "bad" in worker_ids:
-                    raise RuntimeError("bad batch")
-                return {w: FakeEvent(w) for w in worker_ids}
-
-            registry = MetricsRegistry()
-            scheduler = SolveScheduler(
-                solve,
-                registry,
-                max_batch_delay=0.0,
-                max_batch_size=1,
-                max_concurrency=2,
-            )
-            scheduler.start()
-            with pytest.raises(RuntimeError, match="bad batch"):
-                await scheduler.submit("bad")
-            good = await scheduler.submit("good")
-            await scheduler.stop()
-            return good, registry
-
-        good, registry = asyncio.run(scenario())
-        assert good.worker_id == "good"
-        assert registry.get("serve_solve_errors_total").value == 1
-        assert registry.get("serve_solves_total").value == 1
-
-    def test_resubmission_lands_in_next_batch(self):
-        """A worker resubmitted while its solve is in flight resolves with
-        the *next* batch, not the one whose waiters were already captured."""
-
-        async def scenario():
-            calls = []
-
-            async def solve(worker_ids):
-                calls.append(list(worker_ids))
-                await asyncio.sleep(0.03)
-                return {w: FakeEvent(w) for w in worker_ids}
-
-            scheduler = SolveScheduler(
-                solve,
-                MetricsRegistry(),
-                max_batch_delay=0.0,
-                max_batch_size=4,
-                max_concurrency=2,
-            )
-            scheduler.start()
-            first = scheduler.submit("w0")
-            await asyncio.sleep(0.01)  # first batch is now in flight
-            second = scheduler.submit("w0")
-            results = await asyncio.gather(first, second)
-            await scheduler.stop()
-            return calls, results
-
-        calls, results = asyncio.run(scenario())
-        assert calls == [["w0"], ["w0"]]
-        assert all(e.worker_id == "w0" for e in results)
-
-    def test_stop_awaits_inflight_async_batches(self):
-        async def scenario():
-            async def solve(worker_ids):
-                await asyncio.sleep(0.05)
-                return {w: FakeEvent(w) for w in worker_ids}
-
-            scheduler = SolveScheduler(
-                solve, MetricsRegistry(), max_batch_delay=0.0, max_concurrency=2
-            )
-            scheduler.start()
-            future = scheduler.submit("w0")
-            await asyncio.sleep(0.02)  # batch dispatched, solve in flight
-            await scheduler.stop()
-            return await future
-
-        assert asyncio.run(scenario()).worker_id == "w0"
-
-
 class TestFailureModes:
     def test_solver_error_propagates_to_waiters(self):
         async def scenario():
@@ -336,117 +197,24 @@ class TestFailureModes:
         asyncio.run(scenario())
 
 
-class TestImmediateDispatch:
-    """Adaptive dispatch: with a free concurrency slot, a due batch ships
-    the moment its window closes; with every slot busy, the forming batch
-    keeps absorbing due workers until a slot frees (back-pressure batching).
-    The pre-fix parked loop did neither — it stalled each batch behind the
-    previous pool round-trip, measured as a ~3x assign-p95 inflation."""
-
-    def test_free_slot_dispatches_during_inflight_solve(self):
+class TestQuiesce:
+    def test_quiesce_waits_for_queued_batch(self):
         async def scenario():
-            calls = []
-            started = asyncio.get_running_loop().time()
-
-            async def solve(worker_ids):
-                calls.append(
-                    (list(worker_ids),
-                     asyncio.get_running_loop().time() - started)
-                )
-                await asyncio.sleep(0.1)
-                return {w: FakeEvent(w) for w in worker_ids}
-
+            log = []
             scheduler = SolveScheduler(
-                solve,
-                MetricsRegistry(),
-                max_batch_delay=0.0,
-                max_batch_size=64,
-                max_concurrency=2,
+                make_solver(log), MetricsRegistry(), max_batch_delay=0.02
             )
             scheduler.start()
-            first = scheduler.submit("w0")
-            await asyncio.sleep(0.02)  # w0 solving; one slot still free
-            second = scheduler.submit("w1")
-            results = await asyncio.gather(first, second)
+            future = scheduler.submit("w0")
+            await scheduler.quiesce()
+            landed = future.done()
+            await scheduler.quiesce()  # idle: returns at once
             await scheduler.stop()
-            return calls, results
+            return log, landed
 
-        calls, results = asyncio.run(scenario())
-        assert [batch for batch, _ in calls] == [["w0"], ["w1"]]
-        # w1 shipped while w0's solve was still in flight — a parked loop
-        # would have held it until the round-trip came back at ~0.1s.
-        assert calls[1][1] < 0.08
-        assert [e.worker_id for e in results] == ["w0", "w1"]
-
-    def test_saturated_windows_merge_into_one_batch(self):
-        async def scenario():
-            calls = []
-
-            async def solve(worker_ids):
-                calls.append(list(worker_ids))
-                await asyncio.sleep(0.1)
-                return {w: FakeEvent(w) for w in worker_ids}
-
-            scheduler = SolveScheduler(
-                solve,
-                MetricsRegistry(),
-                max_batch_delay=0.0,
-                max_batch_size=64,
-                max_concurrency=1,
-            )
-            scheduler.start()
-            first = scheduler.submit("w0")
-            await asyncio.sleep(0.02)  # w0's solve now occupies the slot
-            second = scheduler.submit("w1")
-            await asyncio.sleep(0.03)  # a later batching window
-            third = scheduler.submit("w2")
-            results = await asyncio.gather(first, second, third)
-            await scheduler.stop()
-            return calls, results
-
-        calls, results = asyncio.run(scenario())
-        # With the only slot busy, w1 and w2 coalesce into one batch that
-        # ships when the slot frees — not two fragmented solves (the
-        # per-batch cost is candidate-dominated, so fragments multiply
-        # total compute), and not a parked queue of singletons.
-        assert calls == [["w0"], ["w1", "w2"]]
-        assert [e.worker_id for e in results] == ["w0", "w1", "w2"]
-
-    def test_contended_batch_records_dispatch_wait_span(self):
-        from repro.serve.scheduler import SolveContext
-
-        contexts = []
-
-        async def solve(worker_ids, ctx: SolveContext):
-            contexts.append(ctx)
-            await asyncio.sleep(0.08)
-            return {w: FakeEvent(w) for w in worker_ids}
-
-        async def scenario():
-            scheduler = SolveScheduler(
-                solve,
-                MetricsRegistry(),
-                max_batch_delay=0.0,
-                max_batch_size=1,
-                max_concurrency=1,
-            )
-            scheduler.start()
-            first = scheduler.submit("w0")
-            await asyncio.sleep(0.02)
-            second = scheduler.submit("w1")
-            await asyncio.gather(first, second)
-            await scheduler.stop()
-
-        asyncio.run(scenario())
-        waits = {
-            span.name: span.duration
-            for ctx in contexts[1:]
-            for span in ctx.spans
-            if span.name == "dispatch_wait"
-        }
-        # The second batch waited for the first's slot; the wait is its own
-        # span, not silently folded into queue or solve time.
-        assert waits.get("dispatch_wait", 0.0) > 0.03
+        log, landed = asyncio.run(scenario())
+        assert log == [["w0"]]
+        assert landed
 
 
 class TestTraceThreading:
@@ -529,39 +297,23 @@ class TestTraceThreading:
         assert registry.get("serve_solve_errors_total").value == 1
         assert registry.get("serve_solves_total").value == 0
 
-    def test_sync_and_async_paths_share_the_metrics_seam(self):
-        """The satellite fix: both execute paths exit through one
-        _finish_batch, so their metric updates are structurally identical."""
+    def test_batch_metrics_flow_through_the_span_seam(self):
+        """Every batch exits through one _finish_batch, so the serve_solve*
+        family is fed from the batch span and nothing else."""
 
-        async def async_solve(worker_ids):
+        def solve(worker_ids):
             return {w: FakeEvent(w) for w in worker_ids}
 
-        def sync_solve(worker_ids):
-            return {w: FakeEvent(w) for w in worker_ids}
+        async def scenario():
+            registry = MetricsRegistry()
+            scheduler = SolveScheduler(solve, registry, max_batch_delay=0.01)
+            scheduler.start()
+            await asyncio.gather(scheduler.submit("w0"), scheduler.submit("w1"))
+            await scheduler.stop()
+            return registry.snapshot()
 
-        def run(solve):
-            async def scenario():
-                registry = MetricsRegistry()
-                scheduler = SolveScheduler(
-                    solve, registry, max_batch_delay=0.01
-                )
-                scheduler.start()
-                await asyncio.gather(
-                    scheduler.submit("w0"), scheduler.submit("w1")
-                )
-                await scheduler.stop()
-                return registry.snapshot()
-
-            return asyncio.run(scenario())
-
-        sync_snap, async_snap = run(sync_solve), run(async_solve)
-        keys = (
-            "serve_solves_total",
-            "serve_solve_errors_total",
-        )
-        for key in keys:
-            assert sync_snap[key] == async_snap[key]
-        assert sync_snap["serve_solve_batch_size"]["mean"] == 2.0
-        assert async_snap["serve_solve_batch_size"]["mean"] == 2.0
-        assert sync_snap["serve_solve_seconds"]["count"] == 1.0
-        assert async_snap["serve_solve_seconds"]["count"] == 1.0
+        snap = asyncio.run(scenario())
+        assert snap["serve_solves_total"] == 1.0
+        assert snap["serve_solve_errors_total"] == 0.0
+        assert snap["serve_solve_batch_size"]["mean"] == 2.0
+        assert snap["serve_solve_seconds"]["count"] == 1.0

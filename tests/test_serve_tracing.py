@@ -180,13 +180,6 @@ class TestSolveContext:
         assert span.status == "error"
         assert span.duration >= 0.0
 
-    def test_add_span_backdates_start_when_absent(self):
-        ctx = SolveContext()
-        before = time.perf_counter()
-        span = ctx.add_span("solve", 0.5, measured="worker")
-        assert span.start == pytest.approx(before - 0.5, abs=0.05)
-        assert span.attrs == {"measured": "worker"}
-
 
 class TestTraceRecorder:
     def test_rate_zero_returns_the_null_trace(self):
@@ -282,18 +275,14 @@ class TestTraceRecorder:
 # -- differential end-to-end suite --------------------------------------------
 
 
-def traced_loadgen_run(tmp_path, **config_overrides):
+def traced_loadgen_run(tmp_path):
     """A fully traced daemon + loadgen run; returns (result, records)."""
     trace_path = tmp_path / "trace.jsonl"
 
     async def scenario():
         daemon = AssignmentDaemon(
             make_pool(400),
-            serve_config(
-                trace_sample_rate=1.0,
-                trace_file=str(trace_path),
-                **config_overrides,
-            ),
+            serve_config(trace_sample_rate=1.0, trace_file=str(trace_path)),
         )
         await daemon.start()
         try:
@@ -332,8 +321,7 @@ def check_differential(result, records, expected_solve_stages):
         stage_sum = sum(span["duration"] for span in record["spans"])
         root = record["duration"]
         # Stage times decompose the root: they may not exceed it by more
-        # than scheduling jitter (worker-measured spans nest inside the
-        # dispatch window, so the inequality holds for engine mode too).
+        # than scheduling jitter.
         assert stage_sum <= root + 0.010, (trace_id, stage_sum, root)
         # And the server-side root is bounded by what the client saw.
         assert root <= client_latency + 0.005, (trace_id, root, client_latency)
@@ -352,24 +340,6 @@ class TestDifferentialTraceSuite:
     def test_in_loop_mode(self, tmp_path):
         result, records = traced_loadgen_run(tmp_path)
         check_differential(result, records, {"queue", "solve", "commit"})
-
-    def test_engine_mode(self, tmp_path):
-        result, records = traced_loadgen_run(tmp_path, solver_workers=2)
-        check_differential(
-            result,
-            records,
-            {"queue", "pool_wait", "prepare", "pickle", "unpickle",
-             "solve", "commit", "snapshot"},
-        )
-        solve_spans = [
-            span
-            for record in records
-            for span in record["spans"]
-            if span["name"] == "solve"
-        ]
-        assert all(
-            span["attrs"]["measured"] == "worker" for span in solve_spans
-        )
 
     def test_trace_endpoint_serves_retained_traces(self):
         async def check(daemon, client):

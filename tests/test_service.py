@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import MotivationWeights, Task, TaskPool, Vocabulary, Worker
+from repro.core.distance import pairwise_jaccard
 from repro.crowd.service import ADAPTIVE_STRATEGIES, AssignmentService, ServiceConfig
 from repro.errors import SimulationError
+from repro.serve.cache import IncrementalDiversityCache
 
 
 @pytest.fixture
@@ -516,3 +518,104 @@ class TestAdmissionSnapshot:
         restored.restore_state(state, {t.task_id: t for t in pool})
         assert restored.admitted_tasks() == []
         assert restored.remaining_tasks() == service.remaining_tasks()
+
+
+def make_service(pool, **config_kwargs):
+    """A seeded service over ``pool`` with three registered workers."""
+    defaults = dict(x_max=4, n_random_pad=2, reassign_after=2, min_pending=1)
+    defaults.update(config_kwargs)
+    service = AssignmentService(pool, "hta-gre", ServiceConfig(**defaults), rng=0)
+    rng = np.random.default_rng(9)
+    width = len(pool.vocabulary)
+    for i in range(3):
+        service.register_worker(Worker(f"w{i}", rng.random(width) < 0.3), 0.0)
+    return service
+
+
+class TestPrepareCommit:
+    def test_prepare_leases_disjoint_candidates(self, pool):
+        service = make_service(pool, candidate_cap=20)
+        first = service.prepare_solve(["w0"])
+        second = service.prepare_solve(["w1"])
+        first_ids = {t.task_id for t in first.candidates}
+        second_ids = {t.task_id for t in second.candidates}
+        assert len(first_ids) == len(second_ids) == 20
+        assert not first_ids & second_ids
+        service.abandon_solve(first)
+        service.abandon_solve(second)
+
+    def test_abandon_restores_the_pool(self, pool):
+        service = make_service(pool, candidate_cap=20)
+        before = service.remaining_tasks()
+        prepared = service.prepare_solve(["w0"])
+        assert service.remaining_tasks() == before - 20
+        service.abandon_solve(prepared)
+        assert service.remaining_tasks() == before
+        assert all(t.task_id in service.pool_state for t in prepared.candidates)
+
+    def test_lease_is_silent_commit_notifies_once(self, pool):
+        service = make_service(pool, candidate_cap=20)
+        removed: list[str] = []
+        service.pool_state.add_removal_listener(removed.extend)
+        prepared = service.prepare_solve(["w0"])
+        assert removed == []  # leasing never notifies listeners
+        picked = [t.task_id for t in prepared.candidates[:3]]
+        events = service.commit_solve(prepared, {"w0": picked}, 1.0)
+        assert set(picked) <= set(removed)
+        assert events["w0"].task_ids == tuple(picked)
+        # Assigned tasks and pads left the pool exactly once.
+        assert len(removed) == len(set(removed))
+        for tid in removed:
+            assert tid not in service.pool_state
+
+    def test_commit_skips_unregistered_worker(self, pool):
+        service = make_service(pool, candidate_cap=20)
+        before = service.remaining_tasks()
+        prepared = service.prepare_solve(["w0"])
+        picked = [t.task_id for t in prepared.candidates[:3]]
+        service.unregister_worker("w0")
+        events = service.commit_solve(prepared, {"w0": picked}, 1.0)
+        assert events == {}
+        # The lease (and the would-be assignment) went back to the pool.
+        assert service.remaining_tasks() == before
+
+    def test_commit_falls_back_to_random_draws(self, pool):
+        service = make_service(pool, candidate_cap=20)
+        prepared = service.prepare_solve(["w0"])
+        events = service.commit_solve(prepared, {}, 1.0)
+        # Solver gave w0 nothing; it drew x_max random tasks instead.
+        assert len(events["w0"].task_ids) == 4
+
+    def test_prepare_returns_none_without_workers_or_tasks(self, pool):
+        service = make_service(pool, candidate_cap=20)
+        assert service.prepare_solve(["ghost"]) is None
+        service.pool_state.remove(service.pool_state.task_ids())
+        assert service.prepare_solve(["w0"]) is None
+
+    def test_prepare_primes_cached_diversity(self, pool):
+        service = make_service(pool, candidate_cap=None)
+        IncrementalDiversityCache(pool).attach(service)
+        prepared = service.prepare_solve(["w0"])
+        ids = [t.task_id for t in prepared.candidates]
+        expected = pairwise_jaccard(pool.subset(ids).matrix)
+        np.testing.assert_allclose(prepared.instance.diversity, expected)
+        service.abandon_solve(prepared)
+
+    def test_cache_stays_in_parity_across_commits(self, pool):
+        service = make_service(pool, candidate_cap=30)
+        cache = IncrementalDiversityCache(pool).attach(service)
+        # Registration drew tasks before the cache attached; sync it the way
+        # the daemon's restore path does.
+        cache.on_removed(
+            [t.task_id for t in pool if t.task_id not in service.pool_state]
+        )
+        for _ in range(3):
+            prepared = service.prepare_solve(["w0", "w1"])
+            picked = [t.task_id for t in prepared.candidates[:4]]
+            service.commit_solve(prepared, {"w0": picked[:2], "w1": picked[2:]}, 1.0)
+        live = service.pool_state.task_ids()
+        assert len(cache) == len(live)
+        sample = live[:10]
+        np.testing.assert_allclose(
+            cache.submatrix(sample), pairwise_jaccard(pool.subset(sample).matrix)
+        )
