@@ -39,7 +39,6 @@ from .instance import HTAInstance
 from .keywords import Vocabulary
 from .motivation import motivation, relevance, task_diversity, task_relevance
 from .qap import QAPEncoding, build_encoding
-from .streaming import StreamingAssigner, StreamingConfig, StreamingStats
 from .task import Task, TaskGroup, TaskPool, pool_from_vectors
 from .worker import MotivationWeights, Worker, WorkerPool
 
@@ -61,9 +60,6 @@ __all__ = [
     "MotivationEstimator",
     "MotivationWeights",
     "QAPEncoding",
-    "StreamingAssigner",
-    "StreamingConfig",
-    "StreamingStats",
     "Task",
     "TaskGroup",
     "TaskPool",

@@ -47,7 +47,7 @@ WEIGHT_POLICIES = ("off", "thompson", "ucb")
 TIER_POLICIES = ("streak", "bandit")
 
 #: Mixed into the service seed so the Thompson stream is independent of the
-#: service's own lease/seed stream while staying reproducible from the
+#: service's own shortlist/seed stream while staying reproducible from the
 #: journal header alone.
 _THOMPSON_STREAM = 0x54485053  # "THPS"
 
@@ -138,7 +138,7 @@ class ThompsonWeightPolicy:
     Each solve-time consultation draws alpha from the estimator's Beta
     posterior (``estimator.sample_weights``).  The policy owns its own
     deterministic RNG stream, derived from the service seed but decoupled
-    from the service's lease/seed stream, so replay reconstructs the
+    from the service's shortlist/seed stream, so replay reconstructs the
     exact draw sequence from the journal header alone.
     """
 

@@ -139,38 +139,17 @@ class TaskPoolState:
             available = [available[int(i)] for i in picks]
         return available
 
-    def lease(self, cap: int | None) -> list[Task]:
-        """Reserve a shortlist for a prepared solve.
-
-        Drawn like :meth:`shortlist` but removed from the pool *silently*
-        (no listener notification), so no other draw can hand out a task
-        while its solve is pending.  Every leased task must come back via
-        :meth:`restore` before the solve's results are committed; listeners
-        only ever hear about a task through the normal :meth:`remove`
-        path.
-        """
-        drawn = self.shortlist(cap)
-        for task in drawn:
-            del self._remaining[task.task_id]
-        return drawn
-
-    def restore(self, tasks: Sequence[Task]) -> None:
-        """Return leased tasks to the pool, again without notifying listeners."""
-        for task in tasks:
-            self._remaining[task.task_id] = task
-
 
 @dataclass
 class PreparedSolve:
-    """A leased, ready-to-run HTA solve, split off the commit that installs it.
+    """A ready-to-run HTA solve, split off the commit that installs it.
 
     Produced by :meth:`AssignmentService.prepare_solve`.  ``instance``,
     ``worker_ids``, ``solver_name`` and ``seed`` are everything a solver
     needs (:func:`execute_prepared` runs them); ``candidates`` and
-    ``task_pool`` are what :meth:`AssignmentService.commit_solve` /
-    :meth:`AssignmentService.abandon_solve` need to install the result or
-    release the lease.  The split lets the daemon and ``repro replay``
-    journal the lease and the commit as separate events.
+    ``task_pool`` are what :meth:`AssignmentService.commit_solve` needs to
+    install the result.  The split lets the daemon and ``repro replay``
+    journal the prepare and the commit as separate events.
     """
 
     worker_ids: list[str]
@@ -179,9 +158,6 @@ class PreparedSolve:
     instance: HTAInstance
     solver_name: str
     seed: int
-    #: Monotonic per-service lease number; identifies this solve in the
-    #: service's outstanding-lease table (and in replay journals).
-    lease_id: int = -1
 
 
 def execute_prepared(prepared: PreparedSolve) -> dict[str, tuple[str, ...]]:
@@ -190,7 +166,7 @@ def execute_prepared(prepared: PreparedSolve) -> dict[str, tuple[str, ...]]:
     The solver named at prepare time, fed a generator seeded with the seed
     drawn at prepare time.  Serving and replay both call this, which is
     what makes a live run and its journal replay bit-identical for the
-    same lease sequence.
+    same sequence of prepared solves.
     """
     solver = get_solver(prepared.solver_name)
     rng = np.random.default_rng(prepared.seed)
@@ -290,8 +266,8 @@ class AssignmentService:
         self._weight_policy = weight_policy
         self._rng = ensure_rng(rng)
         self._pool_state = TaskPoolState(pool, self._rng)
-        # Every id the startup corpus ever contained: a displayed or leased
-        # task leaves the pool but its id must never be re-admittable.
+        # Every id the startup corpus ever contained: a displayed task
+        # leaves the pool but its id must never be re-admittable.
         self._corpus_ids = frozenset(task.task_id for task in pool)
         self._diversity_provider: DiversityProvider | None = None
         self._solver_provider: "Callable[[], object] | None" = None
@@ -299,8 +275,6 @@ class AssignmentService:
         self._workers: dict[str, Worker] = {}
         self._displays: dict[str, _Display] = {}
         self._iterations: dict[str, int] = {}
-        self._outstanding: dict[int, PreparedSolve] = {}
-        self._lease_seq = 0
         # Append-only log of tasks admitted after construction, in arrival
         # order.  Snapshots carry it so restore can rebuild tasks that were
         # never part of the original corpus (they may still be referenced by
@@ -463,17 +437,17 @@ class AssignmentService:
         The batch is validated in full before any mutation — keyword-vector
         length, duplicate ids within the batch, and collisions with any id
         the service has ever known: the startup corpus (whether still
-        pooled, currently displayed, or leased to an in-flight solve) and
-        every previously admitted task — so a bad batch is rejected
-        atomically with a :class:`SimulationError`.  Admitted tasks join
+        pooled or currently displayed) and every previously admitted task —
+        so a bad batch is rejected atomically with a
+        :class:`SimulationError`.  Admitted tasks join
         the pool in batch order (arrival order = insertion order), arrival
         listeners (the diversity cache) are notified, and the batch is
         recorded in the service's admitted-task log so snapshots can
         rebuild tasks that never existed in the original corpus.
 
-        Arrivals never disturb an in-flight solve: leases snapshot their
-        candidate set at prepare time, so a solve prepared before an admit
-        commits against the pre-admit pool (C1/C2 hold unchanged).
+        Arrivals never join a prepared solve: its candidate set is fixed at
+        prepare time, so a solve prepared before an admit commits against
+        the pre-admit candidates (C1/C2 hold unchanged).
 
         Returns the admitted task ids, in order.  An empty batch is a
         no-op.
@@ -489,7 +463,7 @@ class AssignmentService:
                     f"vector; this service's vocabulary has {n_keywords}"
                 )
             # corpus ∪ admitted covers every id ever seen — including tasks
-            # currently displayed or leased to an in-flight solve.
+            # currently displayed.
             if (
                 task.task_id in seen
                 or task.task_id in self._corpus_ids
@@ -603,18 +577,24 @@ class AssignmentService:
         worker_ids: Sequence[str],
         solver_name: str | None = None,
     ) -> PreparedSolve | None:
-        """Lease candidates and build the instance for a prepared solve.
+        """Shortlist candidates and build the instance for a prepared solve.
+
+        The candidates stay in the pool: prepare, solve and commit run back
+        to back with nothing in between, and :meth:`commit_solve` removes
+        only what the solver assigned.  A failed solve therefore leaves the
+        pool exactly as it was.
 
         Returns ``None`` when there is nothing to solve (no live workers in
         the batch, or an empty pool).  :meth:`reassign_workers` is untouched
         by this seam — it keeps its own RNG discipline; here the solver's
         stream is a fresh seed drawn from the service RNG, so the solve is
-        a pure function of the lease and replays from the journal alone.
+        a pure function of the prepared candidates and replays from the
+        journal alone.
         """
         live = [w for w in worker_ids if w in self._workers]
         if not live:
             return None
-        candidates = self._pool_state.lease(self._config.candidate_cap)
+        candidates = self._pool_state.shortlist(self._config.candidate_cap)
         if not candidates:
             return None
         tasks = TaskPool(candidates, self._vocabulary)
@@ -630,18 +610,14 @@ class AssignmentService:
             cached = self._diversity_provider([t.task_id for t in candidates])
             if cached is not None:
                 instance.prime(diversity=cached)
-        prepared = PreparedSolve(
+        return PreparedSolve(
             worker_ids=live,
             candidates=candidates,
             task_pool=tasks,
             instance=instance,
             solver_name=solver_name or self._strategy,
             seed=int(self._rng.integers(0, 2**63)),
-            lease_id=self._lease_seq,
         )
-        self._lease_seq += 1
-        self._outstanding[prepared.lease_id] = prepared
-        return prepared
 
     def commit_solve(
         self,
@@ -652,19 +628,18 @@ class AssignmentService:
     ) -> dict[str, TasksAssigned]:
         """Install the results of a prepared solve (event-loop side).
 
-        Restores every leased candidate first, then routes each assigned
-        task through the normal :meth:`TaskPoolState.remove` path so pool
-        listeners (the diversity cache) hear about exactly the tasks that
-        actually left.  Fallback and display semantics match
-        :meth:`reassign_workers`: empty-handed workers draw random tasks
-        while any remain, workers with nothing at all are omitted, and
-        workers that unregistered mid-solve release their tasks back to the
-        pool.  Runs synchronously — no awaits — so a commit is atomic with
-        respect to the event loop.
+        Routes each assigned task through the normal
+        :meth:`TaskPoolState.remove` path so pool listeners (the diversity
+        cache) hear about exactly the tasks that actually left.  Only ids
+        still in the pool are installed, which is the C1/C2 guard: a task
+        an earlier commit or pad draw already took is never shown twice.
+        Fallback and display semantics match :meth:`reassign_workers`:
+        empty-handed workers draw random tasks while any remain, workers
+        with nothing at all are omitted, and the assignments of workers
+        that unregistered mid-solve stay in the pool.  Runs synchronously —
+        no awaits — so a commit is atomic with respect to the event loop.
         """
         times = session_times or {}
-        self._outstanding.pop(prepared.lease_id, None)
-        self._pool_state.restore(prepared.candidates)
         events: dict[str, TasksAssigned] = {}
         for w in prepared.worker_ids:
             if w not in self._workers:
@@ -681,15 +656,6 @@ class AssignmentService:
             )
         return events
 
-    def abandon_solve(self, prepared: PreparedSolve) -> None:
-        """Release a prepared solve's lease untouched (the solve failed)."""
-        self._outstanding.pop(prepared.lease_id, None)
-        self._pool_state.restore(prepared.candidates)
-
-    def outstanding_leases(self) -> list[int]:
-        """Lease ids of every prepared solve not yet committed or abandoned."""
-        return list(self._outstanding)
-
     # -- snapshot / restore ----------------------------------------------------
 
     def snapshot_state(self) -> dict:
@@ -702,20 +668,10 @@ class AssignmentService:
         match what the uninterrupted process would have drawn).  Display
         matrices are not stored — they are recomputed bit-identically from
         the keyword vectors on restore.
-
-        Candidates leased to a pending solve are *logically* still
-        unassigned, so they are part of the remaining pool here, appended
-        in lease order exactly where :meth:`TaskPoolState.restore` would put
-        them if the solve were abandoned.  Without this, a snapshot taken
-        while a lease is outstanding would silently lose every leased task
-        on restore.
         """
-        remaining = self._pool_state.task_ids()
-        for prepared in self._outstanding.values():
-            remaining.extend(t.task_id for t in prepared.candidates)
         return {
             "strategy": self._strategy,
-            "remaining_task_ids": remaining,
+            "remaining_task_ids": self._pool_state.task_ids(),
             "admitted": [
                 {
                     "task_id": task.task_id,
@@ -778,14 +734,9 @@ class AssignmentService:
                 f"snapshot was taken with strategy {state.get('strategy')!r}, "
                 f"this service runs {self._strategy!r}"
             )
-        if self._outstanding:
-            raise SimulationError(
-                f"cannot restore state with {len(self._outstanding)} solve "
-                f"lease(s) outstanding; commit or abandon them first"
-            )
         n_keywords = len(self._vocabulary)
         admitted: dict[str, Task] = {}
-        for spec in state.get("admitted", ()):
+        for spec in state["admitted"]:
             vector = np.zeros(n_keywords, dtype=bool)
             if spec["interest"]:
                 vector[np.asarray(spec["interest"], dtype=int)] = True

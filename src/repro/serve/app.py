@@ -58,7 +58,6 @@ from .resilience import (
     DegradationController,
     FaultInjector,
     FaultPlan,
-    InjectedFault,
     ResilienceConfig,
     degradation_ladder,
     make_tier_controller,
@@ -76,28 +75,9 @@ SNAPSHOT_KIND = "serve"
 #: joined the payload; bumped to 3 when open-world ingestion added the
 #: service's admitted-task arrival log; bumped to 4 when sharded serving
 #: stamped the writing shard's id into the payload (restore refuses a
-#: snapshot written by a different shard).  Versions 2 and 3 auto-migrate;
-#: older versions are refused by the store.
+#: snapshot written by a different shard).  The store refuses every other
+#: version.
 SNAPSHOT_SCHEMA_VERSION = 4
-
-
-def _migrate_snapshot_v2(state: dict) -> dict:
-    """v2 → v3: inject the empty arrival log the old layout implied."""
-    service = state.get("service")
-    if isinstance(service, dict):
-        service.setdefault("admitted", [])
-    return state
-
-
-def _migrate_snapshot_v3(state: dict) -> dict:
-    """v3 → v4: stamp the unsharded shard id the old layout implied."""
-    state.setdefault("shard_id", None)
-    return state
-
-
-def _migrate_snapshot_v2_to_v4(state: dict) -> dict:
-    """v2 → v4: the two single-step migrations, chained."""
-    return _migrate_snapshot_v3(_migrate_snapshot_v2(state))
 
 
 def snapshot_kind_for(shard_id: "int | None") -> str:
@@ -214,10 +194,6 @@ class AssignmentDaemon:
             SnapshotStore(
                 self.config.snapshot_path,
                 schema_version=SNAPSHOT_SCHEMA_VERSION,
-                migrations={
-                    2: _migrate_snapshot_v2_to_v4,
-                    3: _migrate_snapshot_v3,
-                },
             )
             if self.config.snapshot_path
             else None
@@ -403,12 +379,6 @@ class AssignmentDaemon:
         """
         tier = self.degradation.strategy
         ctx.attrs["tier"] = tier
-        if self.fault is not None:
-            try:
-                self.fault.on_solve()
-            except InjectedFault:
-                self.degradation.observe_solve_failure()
-                raise
         with ctx.span("prepare"):
             prepared = self.service.prepare_solve(worker_ids, solver_name=tier)
         if prepared is None:
@@ -417,9 +387,12 @@ class AssignmentDaemon:
             self._recorder.record_lease(prepared, ctx.attrs.get("trace_ids"))
         try:
             with ctx.span("solve", tier=tier):
+                if self.fault is not None:
+                    self.fault.on_solve()
                 assigned = execute_prepared(prepared)
         except Exception:
-            self.service.abandon_solve(prepared)
+            # Prepare took nothing out of the pool, so there is nothing to
+            # undo: journal the failure and let the scheduler fail the batch.
             if self._recorder is not None:
                 self._recorder.record_abandon(prepared)
             self.degradation.observe_solve_failure()
@@ -500,12 +473,7 @@ class AssignmentDaemon:
         return payload
 
     def snapshot_now(self) -> bool:
-        """Persist the daemon's full mutable state; no-op without a store.
-
-        The service snapshots the *logically-restored* pool (leased
-        candidates included), so a restore from a snapshot taken while a
-        lease is outstanding loses nothing.
-        """
+        """Persist the daemon's full mutable state; no-op without a store."""
         if self._snapshots is None:
             return False
         payload = self._state_payload()
@@ -1111,28 +1079,27 @@ class AssignmentDaemon:
     # -- shard drain / handoff -------------------------------------------------
 
     async def _admin_drain(self) -> dict:
-        """Stop leasing and wait out in-flight solves (``POST /admin/drain``).
+        """Stop solving and wait out queued batches (``POST /admin/drain``).
 
         After this returns the shard accepts no new registrations or task
-        batches, completions no longer trigger solves, every queued and
-        in-flight batch has landed, and no lease is outstanding — the
-        preconditions :meth:`_admin_handoff` requires.  Idempotent: a
-        retried drain re-verifies the quiesced state and succeeds.
+        batches, completions no longer trigger solves, and every queued
+        batch has landed — the preconditions :meth:`_admin_handoff`
+        requires.  Idempotent: a retried drain re-verifies the quiesced
+        state and succeeds.
         """
         self._draining = True
         if self.scheduler is not None:
             await self.scheduler.quiesce()
         return {
             "status": "draining",
-            "outstanding_leases": len(self.service.outstanding_leases()),
             "workers": len(self.service.active_workers()),
         }
 
     def _admin_handoff(self, request: Request) -> dict:
         """Export (and unregister) workers for adoption elsewhere.
 
-        Requires a completed drain — exporting around an in-flight solve
-        could strand a lease that still references the departing worker.
+        Requires a completed drain, so no queued solve can still change a
+        departing worker's display after its export is taken.
         Each blob carries the service-level session export, the full specs
         of every task on the worker's display (those tasks belong to *this*
         shard's corpus; the adopting shard has never seen them), and the

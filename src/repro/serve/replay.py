@@ -11,23 +11,27 @@ again:
   daemon's ingress and solve boundaries.  Ingress events (``register`` /
   ``complete`` / ``unregister`` / ``task_arrival``) capture what the outside
   world did, in event-loop order, with the request's trace id; solve events
-  (``lease`` / ``commit`` / ``abandon``) capture how the daemon's
-  lease/commit protocol interleaved — which is exactly the information
-  concurrency erases.  The header pins the config fingerprint (strategy,
-  seed, service knobs) and a SHA-256 of the *startup* task corpus, so a
-  journal can refuse to replay against the wrong world; tasks posted after
-  startup enter through ``task_arrival`` events carrying their full specs,
-  which is what lets an open-world run replay from the startup pool alone.
+  capture each solve step: ``lease`` (a solve was prepared: its workers,
+  tier, seed and candidate set), then ``commit`` (it landed) or ``abandon``
+  (it failed).  The daemon runs prepare → solve → commit in one
+  synchronous step, so at most one solve is ever pending and the journal
+  order alone ties a commit to its prepare.  The header pins the config
+  fingerprint (strategy, seed, service knobs) and a SHA-256 of the
+  *startup* task corpus, so a journal can refuse to replay against the
+  wrong world; tasks posted after startup enter through ``task_arrival``
+  events carrying their full specs, which is what lets an open-world run
+  replay from the startup pool alone.
 
 * :func:`replay_journal` — re-drives a fresh
   :class:`~repro.crowd.service.AssignmentService` from a journal and asserts
-  bit-identical outcomes: every lease must draw the same solver seed and
-  candidate set, every commit must install byte-for-byte identical display
-  events (task ids, pads, alpha/beta — floats survive JSON exactly via
-  ``repr`` round-tripping), and the final service state must hash to the
-  recorded ``end`` digest, RNG position included.  The first mismatch is
-  reported as a :class:`Divergence` carrying the journal seq, the offending
-  lease and worker, and the trace ids of the requests that rode that solve.
+  bit-identical outcomes: every prepared solve must draw the same solver
+  seed and candidate set, every commit must install byte-for-byte
+  identical display events (task ids, pads, alpha/beta — floats survive
+  JSON exactly via ``repr`` round-tripping), and the final service state
+  must hash to the recorded ``end`` digest, RNG position included.  The
+  first mismatch is reported as a :class:`Divergence` carrying the journal
+  seq, the offending worker, and the trace ids of the requests that rode
+  that solve.
 
 * :func:`replay_differential` — replays one journal under multiple
   configurations (:class:`ReplayVariant`): the default kernels, the dense
@@ -66,8 +70,12 @@ from ..core.solvers import get_solver
 from ..errors import ReproError
 from ..perf.config import use_kernel
 
-#: Bump on any change to the journal line format; replay refuses mismatches.
-JOURNAL_VERSION = 1
+#: Bump on any change to the journal line format or to what a replay of the
+#: same events produces; replay refuses mismatches.  Version 2 dropped the
+#: per-solve lease number from solve events, and a prepared solve no longer
+#: takes its candidates out of the pool; that keeps the pool in a different
+#: order, so later random draws differ from a version-1 run.
+JOURNAL_VERSION = 2
 
 #: Required fields per event type (beyond ``type`` and ``seq``); an event
 #: with a missing field or an unknown type is schema drift and fails load.
@@ -96,11 +104,10 @@ _EVENT_FIELDS: dict[str, frozenset[str]] = {
     "handoff_out": frozenset({"worker_id", "state"}),
     "handoff_in": frozenset({"worker_id", "state"}),
     "lease": frozenset(
-        {"lease_id", "worker_ids", "solver", "seed", "n_candidates",
-         "candidates_sha"}
+        {"worker_ids", "solver", "seed", "n_candidates", "candidates_sha"}
     ),
-    "commit": frozenset({"lease_id", "wall_time", "events"}),
-    "abandon": frozenset({"lease_id"}),
+    "commit": frozenset({"wall_time", "events"}),
+    "abandon": frozenset(),
     "snapshot": frozenset({"snapshot_id"}),
     "end": frozenset({"state_sha"}),
 }
@@ -128,7 +135,7 @@ def pool_fingerprint(pool: TaskPool) -> str:
 
 
 def candidates_fingerprint(task_ids: Iterable[str]) -> str:
-    """SHA-256 over an ordered candidate id sequence (lease identity)."""
+    """SHA-256 over an ordered candidate id sequence (solve identity)."""
     digest = hashlib.sha256()
     for task_id in task_ids:
         digest.update(task_id.encode())
@@ -286,7 +293,6 @@ class FlightRecorder:
     ) -> None:
         self._record(
             "lease",
-            lease_id=prepared.lease_id,
             worker_ids=list(prepared.worker_ids),
             solver=prepared.solver_name,
             seed=prepared.seed,
@@ -305,13 +311,12 @@ class FlightRecorder:
     ) -> None:
         self._record(
             "commit",
-            lease_id=prepared.lease_id,
             wall_time=wall_time,
             events={w: event_payload(e) for w, e in events.items()},
         )
 
     def record_abandon(self, prepared: PreparedSolve) -> None:
-        self._record("abandon", lease_id=prepared.lease_id)
+        self._record("abandon")
 
     def record_snapshot(self, snapshot_id: int) -> None:
         self._record("snapshot", snapshot_id=snapshot_id)
@@ -478,14 +483,11 @@ class Divergence:
     field: str
     recorded: object
     replayed: object
-    lease_id: "int | None" = None
     worker_id: "str | None" = None
     trace_ids: "tuple[str, ...] | None" = None
 
     def describe(self) -> str:
         where = f"seq {self.seq} ({self.event_type})"
-        if self.lease_id is not None:
-            where += f" lease {self.lease_id}"
         if self.worker_id is not None:
             where += f" worker {self.worker_id!r}"
         traces = (
@@ -548,8 +550,9 @@ class _ReplayState:
     service: AssignmentService
     task_index: dict
     displayed_ever: set = field(default_factory=set)
-    leases: dict = field(default_factory=dict)
-    lease_traces: dict = field(default_factory=dict)
+    #: The prepared solve awaiting its ``commit`` or ``abandon`` event, with
+    #: the trace ids of the requests that rode it.
+    pending: "tuple[PreparedSolve, tuple[str, ...] | None] | None" = None
     quality: "object | None" = None  # QualityController when recorded with one
 
     def end_payload(self) -> dict:
@@ -845,18 +848,9 @@ def _apply_event(
         return _apply_commit(event, state, report)
 
     if event_type == "abandon":
-        prepared = state.leases.pop(event["lease_id"], None)
-        state.lease_traces.pop(event["lease_id"], None)
-        if prepared is None:
-            return Divergence(
-                seq=seq,
-                event_type=event_type,
-                field="lease",
-                recorded=event["lease_id"],
-                replayed=None,
-                lease_id=event["lease_id"],
-            )
-        service.abandon_solve(prepared)
+        if state.pending is None:
+            return _nothing_pending(seq, event_type)
+        state.pending = None
         report.solves_abandoned += 1
         return None
 
@@ -923,12 +917,33 @@ def _apply_register(
     return None
 
 
+def _nothing_pending(seq: int, event_type: str) -> Divergence:
+    """A ``commit`` or ``abandon`` with no prepared solve to settle."""
+    return Divergence(
+        seq=seq,
+        event_type=event_type,
+        field="pending",
+        recorded="prepared solve",
+        replayed=None,
+    )
+
+
 def _apply_lease(
     event: dict, state: _ReplayState, variant: ReplayVariant
 ) -> "Divergence | None":
     service = state.service
     seq = event["seq"]
     trace_ids = tuple(event["trace_ids"]) if event.get("trace_ids") else None
+    if state.pending is not None:
+        # The daemon settles every prepared solve before the next one.
+        return Divergence(
+            seq=seq,
+            event_type="lease",
+            field="pending",
+            recorded=None,
+            replayed=list(state.pending[0].worker_ids),
+            trace_ids=trace_ids,
+        )
     solver_name = variant.pinned_solver or event["solver"]
     prepared = service.prepare_solve(event["worker_ids"], solver_name=solver_name)
     if prepared is None:
@@ -936,9 +951,8 @@ def _apply_lease(
             seq=seq,
             event_type="lease",
             field="prepared",
-            recorded="leased",
+            recorded="prepared",
             replayed=None,
-            lease_id=event["lease_id"],
             trace_ids=trace_ids,
         )
     checks = [
@@ -955,18 +969,15 @@ def _apply_lease(
         checks.append(("solver", event["solver"], prepared.solver_name))
     for field_name, recorded, replayed in checks:
         if recorded != replayed:
-            service.abandon_solve(prepared)
             return Divergence(
                 seq=seq,
                 event_type="lease",
                 field=field_name,
                 recorded=recorded,
                 replayed=replayed,
-                lease_id=event["lease_id"],
                 trace_ids=trace_ids,
             )
-    state.leases[event["lease_id"]] = prepared
-    state.lease_traces[event["lease_id"]] = trace_ids
+    state.pending = (prepared, trace_ids)
     return None
 
 
@@ -977,19 +988,9 @@ def _apply_commit(
 ) -> "Divergence | None":
     service = state.service
     seq = event["seq"]
-    lease_id = event["lease_id"]
-    trace_ids = state.lease_traces.pop(lease_id, None)
-    prepared = state.leases.pop(lease_id, None)
-    if prepared is None:
-        return Divergence(
-            seq=seq,
-            event_type="commit",
-            field="lease",
-            recorded=lease_id,
-            replayed=None,
-            lease_id=lease_id,
-            trace_ids=trace_ids,
-        )
+    if state.pending is None:
+        return _nothing_pending(seq, "commit")
+    (prepared, trace_ids), state.pending = state.pending, None
     assigned = execute_prepared(prepared)
     replayed_events = service.commit_solve(
         prepared, assigned, event["wall_time"]
@@ -1005,7 +1006,6 @@ def _apply_commit(
             field="workers",
             recorded=workers_recorded,
             replayed=workers_replayed,
-            lease_id=lease_id,
             trace_ids=trace_ids,
         )
     for worker_id in workers_recorded:
@@ -1020,7 +1020,6 @@ def _apply_commit(
                 field=field_name,
                 recorded=rec,
                 replayed=rep,
-                lease_id=lease_id,
                 worker_id=worker_id,
                 trace_ids=trace_ids,
             )

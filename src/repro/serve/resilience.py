@@ -469,7 +469,8 @@ class FaultInjector:
         return bool(self._rng.random() < probability)
 
     def on_solve(self) -> None:
-        """Called right before a batched solve; may sleep or raise."""
+        """Called inside a batched solve, after its prepare; may sleep or
+        raise."""
         if self._draw(self.plan.solve_fail_p):
             self._solve_failures.inc()
             raise InjectedFault("injected solve failure")

@@ -524,7 +524,7 @@ class RouterDaemon:
         """Split a task batch across its ring owners.
 
         Each task id hashes to the shard that will own it for its lifetime
-        (lease, display, completion all happen on that shard — disjoint
+        (shortlist, display, completion all happen on that shard — disjoint
         from every other shard's pool by construction).  The split is NOT
         atomic across shards: each sub-batch is all-or-nothing on its
         shard, and the response reports per-shard outcomes so a client can

@@ -25,9 +25,8 @@ the ``serve_solve*`` family cannot drift from what the traces record.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from ..crowd.events import TasksAssigned
 from .metrics import MetricsRegistry
@@ -36,27 +35,12 @@ from .tracing import NULL_TRACE, SolveContext, Span, SpanMetrics, Trace
 #: Batch-size histogram buckets (1..256 workers per solve).
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
-#: A batch-solve callable: ``(worker_ids)`` or ``(worker_ids, ctx)`` where
-#: ``ctx`` is the batch's :class:`SolveContext` (stage-span sink).
-BatchSolveFn = Callable[..., dict[str, TasksAssigned]]
+#: A batch-solve callable ``(worker_ids, ctx)``, where ``ctx`` is the
+#: batch's :class:`SolveContext` (stage-span sink).
+BatchSolveFn = Callable[[list[str], SolveContext], dict[str, TasksAssigned]]
 
 #: One parked request: its future, its trace, and its open queue span.
 _Waiter = tuple
-
-
-def _accepts_context(solve_batch: BatchSolveFn) -> bool:
-    """Whether ``solve_batch`` takes a second (SolveContext) parameter."""
-    try:
-        parameters = inspect.signature(solve_batch).parameters.values()
-    except (TypeError, ValueError):
-        return False
-    positional = [
-        p for p in parameters
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    return len(positional) >= 2 or any(
-        p.kind == p.VAR_POSITIONAL for p in parameters
-    )
 
 
 class SolveScheduler:
@@ -64,11 +48,10 @@ class SolveScheduler:
 
     Args:
         solve_batch: A synchronous callable, run on the event loop with the
-            deduplicated worker ids of one batch (plus the batch's
-            :class:`SolveContext` when its signature has a second
-            parameter); returns the installed display events keyed by
-            worker (a worker may be absent when the pool had nothing left
-            for it).
+            deduplicated worker ids of one batch and the batch's
+            :class:`SolveContext`; returns the installed display events
+            keyed by worker (a worker may be absent when the pool had
+            nothing left for it).
         registry: Metrics sink; the scheduler owns ``serve_solves_total``,
             ``serve_solve_seconds``, ``serve_solve_batch_size`` and
             ``serve_solve_errors_total``, all updated through one
@@ -97,7 +80,6 @@ class SolveScheduler:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         self._solve_batch = solve_batch
-        self._accepts_ctx = _accepts_context(solve_batch)
         self._max_batch_delay = max_batch_delay
         self._max_batch_size = max_batch_size
         self._solve_observer = solve_observer
@@ -241,9 +223,7 @@ class SolveScheduler:
                 return
 
     def _call_solve(self, batch: list[str], ctx: SolveContext):
-        if self._accepts_ctx:
-            return self._solve_batch(batch, ctx)
-        return self._solve_batch(batch)
+        return self._solve_batch(batch, ctx)
 
     @staticmethod
     def _seed_context(

@@ -15,7 +15,7 @@ routing decision and replays it:
 * :func:`shard_slice` — the disjoint task-pool partition: shard ``k`` of
   ``N`` serves exactly the corpus positions ``i`` with ``i % N == k``.
   Slices are disjoint and cover the corpus by construction, so C1/C2
-  disjointness holds *globally*: no two shards can ever lease, display, or
+  disjointness holds *globally*: no two shards can ever shortlist, display, or
   pad with the same task.  Tasks posted after startup (``POST /tasks``) are
   routed by consistent hash on task id — a different partition of the id
   space, but equally disjoint.
@@ -434,8 +434,8 @@ class ShardCoordinator:
         """Drain shard ``index`` and rebalance its workers onto the rest.
 
         Protocol: take the shard off the ring (new work routes elsewhere
-        immediately), quiesce it (``POST /admin/drain`` — stop leasing,
-        wait out in-flight solves), export every worker session
+        immediately), quiesce it (``POST /admin/drain`` — stop solving,
+        wait out queued solves), export every worker session
         (``POST /admin/handoff``), group the exports by their new ring
         owner, and adopt (``POST /admin/adopt``).  Returns what moved so
         the caller can journal it:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -270,11 +270,8 @@ class SnapshotStore:
     the found and the expected version, rather than silently feeding an
     old-layout blob to new restore code.  Bump the version whenever the
     snapshot payload changes shape (the serving daemon's reputation state
-    and arrival log did exactly that), and register a ``migrations`` entry
-    when the old layout can be upgraded in place: ``{2: fn}`` makes a
-    version-2 record load by passing its blob through ``fn`` (the record
-    then reports this store's version).  Versions with no registered
-    migration stay hard refusals.
+    and arrival log did exactly that); records of any other version stay
+    hard refusals.
     """
 
     def __init__(
@@ -282,7 +279,6 @@ class SnapshotStore:
         path: "str | Path" = ":memory:",
         keep: int = 5,
         schema_version: int = 1,
-        migrations: "Mapping[int, Callable[[dict], dict]] | None" = None,
     ):
         if keep < 1:
             raise StorageError(f"must keep at least 1 snapshot, got {keep}")
@@ -293,12 +289,6 @@ class SnapshotStore:
         self._path = str(path)
         self._keep = keep
         self._schema_version = int(schema_version)
-        self._migrations = dict(migrations or {})
-        if any(v >= self._schema_version for v in self._migrations):
-            raise StorageError(
-                "migrations must map versions older than the store's own "
-                f"(version {self._schema_version})"
-            )
         self._connection = sqlite3.connect(self._path)
         self._connection.executescript(_SNAPSHOT_SCHEMA)
         # Stores created before versioning lack the column; the default (1)
@@ -377,26 +367,21 @@ class SnapshotStore:
         if row is None:
             return None
         recorded_version = int(row[3])
-        state = json.loads(row[2])
         if recorded_version != self._schema_version:
-            migrate = self._migrations.get(recorded_version)
-            if migrate is None:
-                raise StorageError(
-                    f"snapshot {int(row[0])} of kind {kind!r} was written "
-                    f"with schema version {recorded_version} (found), but "
-                    f"this store reads schema version {self._schema_version} "
-                    f"(expected); refusing to restore a mismatched layout "
-                    f"(re-record a snapshot with the current build, or open "
-                    f"the store with schema_version={recorded_version} to "
-                    f"inspect it)"
-                )
-            state = migrate(state)
-            recorded_version = self._schema_version
+            raise StorageError(
+                f"snapshot {int(row[0])} of kind {kind!r} was written "
+                f"with schema version {recorded_version} (found), but "
+                f"this store reads schema version {self._schema_version} "
+                f"(expected); refusing to restore a mismatched layout "
+                f"(re-record a snapshot with the current build, or open "
+                f"the store with schema_version={recorded_version} to "
+                f"inspect it)"
+            )
         return SnapshotRecord(
             snapshot_id=int(row[0]),
             kind=kind,
             taken_at=float(row[1]),
-            state=state,
+            state=json.loads(row[2]),
             schema_version=recorded_version,
         )
 

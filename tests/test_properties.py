@@ -300,50 +300,6 @@ class TestWeightsProperties:
         assert 0.0 <= weights.alpha <= 1.0
 
 
-class TestStreamingProperties:
-    @given(
-        st.lists(st.floats(0.01, 20.0, allow_nan=False), min_size=1, max_size=40),
-        st.integers(1, 4),  # workers
-        st.integers(1, 3),  # x_max
-        st.integers(2, 10),  # batch_size
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_conservation_and_disjointness(
-        self, gaps, n_workers, x_max, batch_size
-    ):
-        from repro.core import Task, Vocabulary, Worker
-        from repro.core.streaming import StreamingAssigner, StreamingConfig
-
-        vocab = Vocabulary([f"k{i}" for i in range(8)])
-        rng = np.random.default_rng(0)
-        assigner = StreamingAssigner(
-            vocab,
-            config=StreamingConfig(
-                x_max=x_max, batch_size=batch_size, max_wait=15.0
-            ),
-            rng=0,
-        )
-        for q in range(n_workers):
-            assigner.worker_arrived(
-                Worker(f"w{q}", rng.random(8) < 0.4), now=0.0
-            )
-        clock = 0.0
-        seen: set[str] = set()
-        for i, gap in enumerate(gaps):
-            clock += gap
-            assigner.add_task(Task(f"t{i}", rng.random(8) < 0.4), now=clock)
-            assignment = assigner.poll(now=clock)
-            if assignment is not None:
-                ids = assignment.assigned_task_ids()
-                assert not (ids & seen)  # batches never overlap
-                seen |= ids
-        stats = assigner.stats
-        assert (
-            stats.tasks_assigned + stats.tasks_expired + assigner.buffered_tasks()
-            == stats.tasks_received
-        )
-
-
 class TestTeamProperties:
     @given(
         st.integers(1, 3),  # tasks

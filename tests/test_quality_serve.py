@@ -269,13 +269,15 @@ class TestSnapshotV2:
             old_store.latest_record("serve")
         old_store.close()
 
-    def test_v1_snapshot_refused_on_restore(self, tmp_path):
-        """A daemon pointed at a pre-quality (v1) snapshot store fails
-        loudly at restore instead of misreading the payload."""
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_old_snapshot_refused_on_restore(self, tmp_path, version):
+        """A daemon pointed at an older-layout snapshot store (v1 before
+        quality, v2 before arrivals, v3 before shards) fails loudly at
+        restore instead of misreading the payload."""
         db = tmp_path / "snap.db"
-        v1 = SnapshotStore(db, schema_version=1)
-        v1.save("serve", {"service": {}, "displayed_ever": []})
-        v1.close()
+        old = SnapshotStore(db, schema_version=version)
+        old.save("serve", {"service": {}, "displayed_ever": []})
+        old.close()
 
         async def restore():
             daemon = AssignmentDaemon(
@@ -285,7 +287,7 @@ class TestSnapshotV2:
             await daemon.start()
             await daemon.stop()
 
-        with pytest.raises(StorageError, match="schema version"):
+        with pytest.raises(StorageError, match=f"schema version {version}"):
             asyncio.run(asyncio.wait_for(restore(), timeout=30.0))
 
 

@@ -1,13 +1,12 @@
-"""Record/replay tests: journal schema, bit-identity, and the two bugs
-the recorder exposed (duplicate completion delivery, snapshot/lease race).
+"""Record/replay tests: journal schema, bit-identity, and the bug the
+recorder exposed (duplicate completion delivery).
 
 The tentpole claims here:
 
 * a journal recorded by a live daemon — healthy or under fault
   injection — replays to *bit-identical* display events and final state
-  hash under every configuration in the differential panel, including
-  journals whose header was written by older daemons;
-* a tampered journal is pinpointed: first divergent seq, offending lease,
+  hash under every configuration in the differential panel;
+* a tampered journal is pinpointed: first divergent seq, offending worker,
   the trace ids that rode that solve;
 * schema drift (unknown event type, missing field, seq gap, version bump)
   refuses to load instead of replaying garbage.
@@ -22,9 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Task, TaskPool, Vocabulary, Worker
-from repro.crowd.service import AssignmentService, ServiceConfig
-from repro.errors import SimulationError
+from repro.core import Task, TaskPool, Vocabulary
+from repro.crowd.service import ServiceConfig
 from repro.serve.app import AssignmentDaemon, ServeConfig
 from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.serve.protocol import HttpClient
@@ -176,14 +174,20 @@ class TestJournalSchema:
         with pytest.raises(ReplayError, match="empty"):
             load_journal(empty)
 
-    def test_version_mismatch_rejected(self, recorded, tmp_path):
+    @pytest.mark.parametrize(
+        "version", [JOURNAL_VERSION - 1, JOURNAL_VERSION + 1]
+    )
+    def test_version_mismatch_rejected(self, recorded, tmp_path, version):
         def bump(record):
             if record["type"] == "header":
-                record["version"] = JOURNAL_VERSION + 1
+                record["version"] = version
             return record
 
-        with pytest.raises(ReplayError, match="version"):
+        with pytest.raises(ReplayError) as err:
             load_journal(rewrite(recorded, tmp_path / "v.jsonl", bump))
+        message = str(err.value)
+        assert f"journal version {version}" in message
+        assert f"this build reads {JOURNAL_VERSION}" in message
 
     def test_unknown_event_type_is_schema_drift(self, recorded, tmp_path):
         def relabel(record):
@@ -253,34 +257,6 @@ class TestBitIdentity:
         with pytest.raises(ReplayError, match="corpus mismatch"):
             replay_journal(load_journal(recorded), make_pool(seed=1))
 
-    def test_legacy_solver_workers_header_replays(self, tmp_path):
-        """Daemons that still had a process-pool solver wrote
-        ``solver_workers`` and the crash-injection plan fields into the
-        header's ``recorded_with``; those journals must keep replaying."""
-        journal = tmp_path / "run.jsonl"
-        record_journal(journal, fault_plan=FaultPlan(seed=3, solve_fail_p=0.1))
-
-        def legacy_header(record):
-            if record["type"] == "header":
-                plan = record["recorded_with"]["fault_plan"]
-                plan.update(worker_crash_p=0.0, max_worker_crashes=None)
-                record["recorded_with"] = {
-                    "solver_workers": 2, "fault_plan": plan,
-                }
-            return record
-
-        legacy = rewrite(journal, tmp_path / "legacy.jsonl", legacy_header)
-        assert load_journal(legacy).header["recorded_with"][
-            "solver_workers"
-        ] == 2
-        reports = replay_differential(load_journal(legacy), make_pool())
-        assert [r.variant for r in reports] == [
-            v.label for v in default_variants()
-        ]
-        for report in reports:
-            assert report.ok and report.state_verified, report.to_dict()
-            assert report.solves_committed >= 2
-
     def test_chaos_recorded_journal_replays_clean(self, tmp_path):
         journal = tmp_path / "chaos.jsonl"
         plan = FaultPlan(
@@ -302,6 +278,20 @@ class TestBitIdentity:
         for report in reports:
             assert report.ok and report.state_verified, report.to_dict()
 
+    def test_failed_solves_replay_clean(self, tmp_path):
+        """An injected failure hits after prepare, so the journal holds a
+        ``lease`` + ``abandon`` pair per failed solve and the pool is left
+        as it was; replay re-prepares each one and lands on the same state."""
+        journal = tmp_path / "failing.jsonl"
+        record_journal(journal, fault_plan=FaultPlan(seed=0, solve_fail_p=1.0))
+        events = load_journal(journal).events
+        types = [e["type"] for e in events]
+        assert "commit" not in types
+        assert types.count("abandon") == types.count("lease") > 0
+        for report in replay_differential(load_journal(journal), make_pool()):
+            assert report.ok and report.state_verified, report.to_dict()
+            assert report.solves_abandoned == types.count("abandon")
+
     def test_tampered_commit_pinpoints_divergence(self, recorded, tmp_path):
         def corrupt(record):
             if record["type"] == "commit" and not corrupt.done:
@@ -317,7 +307,7 @@ class TestBitIdentity:
         assert report.divergence.seq == corrupt.done
         assert report.divergence.event_type == "commit"
         assert report.divergence.field == "task_ids"
-        assert report.divergence.lease_id is not None
+        assert report.divergence.worker_id is not None
         assert "t_bogus" in report.divergence.describe()
 
     def test_tampered_register_pinpoints_divergence(self, recorded, tmp_path):
@@ -378,6 +368,65 @@ class TestBitIdentity:
 
         tampered = rewrite(journal, tmp_path / "tampered.jsonl", corrupt)
         assert main(["replay", str(tampered)]) == 1
+
+
+class TestPendingSolve:
+    """Every ``commit`` / ``abandon`` settles the one prepared solve the
+    preceding ``lease`` opened; anything else is a divergence."""
+
+    @staticmethod
+    def first_seq(journal, event_type):
+        return next(
+            e["seq"] for e in load_journal(journal).events
+            if e["type"] == event_type
+        )
+
+    def test_commit_with_nothing_pending_diverges(self, recorded, tmp_path):
+        lease_seq = self.first_seq(recorded, "lease")
+
+        def drop_lease(record):
+            if record.get("seq") == lease_seq:
+                return {"type": "tick", "seq": lease_seq}
+            return record
+
+        tampered = rewrite(recorded, tmp_path / "c.jsonl", drop_lease)
+        report = replay_journal(load_journal(tampered), make_pool())
+        assert report.divergence.event_type == "commit"
+        assert report.divergence.field == "pending"
+        assert report.divergence.seq > lease_seq
+
+    def test_abandon_with_nothing_pending_diverges(self, recorded, tmp_path):
+        lease_seq = self.first_seq(recorded, "lease")
+
+        def to_abandon(record):
+            if record.get("seq") == lease_seq:
+                return {"type": "abandon", "seq": lease_seq}
+            return record
+
+        tampered = rewrite(recorded, tmp_path / "a.jsonl", to_abandon)
+        report = replay_journal(load_journal(tampered), make_pool())
+        assert report.divergence.seq == lease_seq
+        assert report.divergence.event_type == "abandon"
+        assert report.divergence.field == "pending"
+
+    def test_lease_while_pending_diverges(self, recorded, tmp_path):
+        commit_seq = self.first_seq(recorded, "commit")
+        leases = [
+            e for e in load_journal(recorded).events
+            if e["type"] == "lease" and e["seq"] < commit_seq
+        ]
+
+        def second_lease(record):
+            if record.get("seq") == commit_seq:
+                return {**leases[-1], "seq": commit_seq}
+            return record
+
+        tampered = rewrite(recorded, tmp_path / "l.jsonl", second_lease)
+        report = replay_journal(load_journal(tampered), make_pool())
+        assert report.divergence.seq == commit_seq
+        assert report.divergence.event_type == "lease"
+        assert report.divergence.field == "pending"
+        assert report.divergence.replayed == leases[-1]["worker_ids"]
 
 
 class TestDuplicateCompletion:
@@ -503,99 +552,6 @@ class TestDuplicateCompletion:
         # (daemon counts it, the client never sees it), and the client-side
         # counter also includes absorbed re-registrations.
         assert result.deduplicated_responses > 0
-
-
-class TestSnapshotLeaseRace:
-    """Regression: ``snapshot_now()`` during an in-flight solve lease used
-    to persist a pool *missing* the leased candidates — a restore from that
-    snapshot silently lost tasks forever."""
-
-    @staticmethod
-    def make_service(pool):
-        return AssignmentService(
-            pool,
-            "hta-gre",
-            ServiceConfig(
-                x_max=4, n_random_pad=2, reassign_after=3, min_pending=1,
-                candidate_cap=None,
-            ),
-            rng=0,
-        )
-
-    def register_two(self, service):
-        rng = np.random.default_rng(1)
-        for wid in ("w0", "w1"):
-            service.register_worker(
-                Worker(wid, rng.random(N_KEYWORDS) < 0.35), 0.0
-            )
-
-    def test_snapshot_mid_lease_keeps_leased_tasks(self):
-        pool = make_pool(n_tasks=120)
-        service = self.make_service(pool)
-        self.register_two(service)
-        before = set(service.pool_state.task_ids())
-        prepared = service.prepare_solve(["w0", "w1"])
-        assert prepared is not None
-        leased = {t.task_id for t in prepared.candidates}
-        assert leased and leased.isdisjoint(service.pool_state.task_ids())
-        snapshot = service.snapshot_state()
-        snapshot_ids = snapshot["remaining_task_ids"]
-        assert set(snapshot_ids) == before
-        # The snapshot equals the logically-restored pool: remaining ids
-        # first, leased candidates re-appended — exactly what abandoning
-        # the lease produces, order included.
-        service.abandon_solve(prepared)
-        assert list(service.pool_state.task_ids()) == list(snapshot_ids)
-
-    def test_restore_refused_mid_lease(self):
-        pool = make_pool(n_tasks=120)
-        service = self.make_service(pool)
-        self.register_two(service)
-        snapshot = service.snapshot_state()
-        prepared = service.prepare_solve(["w0", "w1"])
-        assert prepared is not None
-        with pytest.raises(SimulationError, match="outstanding"):
-            service.restore_state(snapshot, {t.task_id: t for t in pool})
-        service.abandon_solve(prepared)
-
-    def test_daemon_restore_from_mid_solve_snapshot_loses_nothing(self):
-        """Snapshot while a lease is in flight, restore a fresh daemon from
-        it: every task is accounted for (pool ∪ displayed = corpus)."""
-
-        async def scenario():
-            with tempfile.TemporaryDirectory() as tmp:
-                store = str(Path(tmp) / "snap.db")
-                daemon = AssignmentDaemon(
-                    make_pool(200), serve_config(snapshot_path=store)
-                )
-                await daemon.start()
-                client = HttpClient("127.0.0.1", daemon.port)
-                try:
-                    await drive_session(client, n_workers=3, rounds=4)
-                    # An outstanding lease, held across the snapshot.
-                    prepared = daemon.service.prepare_solve(["w1", "w2"])
-                    assert prepared is not None
-                    leased = {t.task_id for t in prepared.candidates}
-                    assert daemon.snapshot_now()
-                    daemon.service.abandon_solve(prepared)
-                finally:
-                    await client.close()
-                    await daemon.stop()
-                restored = AssignmentDaemon(
-                    make_pool(200),
-                    serve_config(snapshot_path=store, restore=True),
-                )
-                remaining = set(restored.service.pool_state.task_ids())
-                displayed = set(restored._displayed_ever)
-                return leased, remaining, displayed
-
-        leased, remaining, displayed = asyncio.run(
-            asyncio.wait_for(scenario(), timeout=60.0)
-        )
-        corpus = {f"t{i}" for i in range(200)}
-        assert leased <= remaining
-        assert remaining | displayed == corpus
-        assert remaining & displayed == set()
 
 
 class TestReplayProperty:

@@ -14,7 +14,7 @@ class FakeEvent:
 
 
 def make_solver(log):
-    def solve(worker_ids):
+    def solve(worker_ids, ctx):
         batch = list(worker_ids)
         log.append(batch)
         return {w: FakeEvent(w) for w in batch}
@@ -146,7 +146,7 @@ class TestOverflowDrain:
 class TestFailureModes:
     def test_solver_error_propagates_to_waiters(self):
         async def scenario():
-            def explode(worker_ids):
+            def explode(worker_ids, ctx):
                 raise RuntimeError("solver blew up")
 
             registry = MetricsRegistry()
@@ -165,7 +165,7 @@ class TestFailureModes:
     def test_missing_worker_resolves_none(self):
         async def scenario():
             scheduler = SolveScheduler(
-                lambda ids: {}, MetricsRegistry(), max_batch_delay=0.0
+                lambda ids, ctx: {}, MetricsRegistry(), max_batch_delay=0.0
             )
             scheduler.start()
             result = await scheduler.submit("ghost")
@@ -180,7 +180,7 @@ class TestFailureModes:
 
             async def run():
                 scheduler = SolveScheduler(
-                    lambda ids: {}, MetricsRegistry(), max_batch_delay=10.0
+                    lambda ids, ctx: {}, MetricsRegistry(), max_batch_delay=10.0
                 )
                 scheduler.start()
                 future = scheduler.submit("w0")
@@ -273,7 +273,7 @@ class TestTraceThreading:
     def test_error_batch_adopts_a_solve_error_span(self):
         from repro.serve.tracing import Trace
 
-        def explode(worker_ids):
+        def explode(worker_ids, ctx):
             raise RuntimeError("bad batch")
 
         async def scenario():
@@ -301,7 +301,7 @@ class TestTraceThreading:
         """Every batch exits through one _finish_batch, so the serve_solve*
         family is fed from the batch span and nothing else."""
 
-        def solve(worker_ids):
+        def solve(worker_ids, ctx):
             return {w: FakeEvent(w) for w in worker_ids}
 
         async def scenario():

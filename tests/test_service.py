@@ -5,7 +5,12 @@ import pytest
 
 from repro.core import MotivationWeights, Task, TaskPool, Vocabulary, Worker
 from repro.core.distance import pairwise_jaccard
-from repro.crowd.service import ADAPTIVE_STRATEGIES, AssignmentService, ServiceConfig
+from repro.crowd.service import (
+    ADAPTIVE_STRATEGIES,
+    AssignmentService,
+    ServiceConfig,
+    execute_prepared,
+)
 from repro.errors import SimulationError
 from repro.serve.cache import IncrementalDiversityCache
 
@@ -423,16 +428,15 @@ class TestOpenWorldAdmission:
             service.admit_tasks([Task(shown, np.zeros(12, dtype=bool))])
 
     def test_leased_candidate_id_rejected(self, pool, vocab):
+        """A prepared solve's candidates stay pooled; their ids are taken."""
         service = AssignmentService(pool, "hta-gre", SMALL_CONFIG, rng=0)
         service.register_worker(make_worker(vocab), 0.0)
         prepared = service.prepare_solve(["w0"])
         assert prepared is not None
-        leased_id = prepared.candidates[0].task_id
-        try:
-            with pytest.raises(SimulationError, match=leased_id):
-                service.admit_tasks([Task(leased_id, np.zeros(12, dtype=bool))])
-        finally:
-            service.abandon_solve(prepared)
+        candidate_id = prepared.candidates[0].task_id
+        assert candidate_id in service.pool_state
+        with pytest.raises(SimulationError, match=candidate_id):
+            service.admit_tasks([Task(candidate_id, np.zeros(12, dtype=bool))])
 
     def test_vector_length_mismatch_rejected(self, pool, vocab):
         service = AssignmentService(pool, "hta-gre", SMALL_CONFIG, rng=0)
@@ -453,8 +457,9 @@ class TestOpenWorldAdmission:
 
 
 class TestMidSolveArrival:
-    """Regression: a lease taken before an append must commit against the
-    pre-append candidate set — arrivals never leak into an in-flight solve."""
+    """Regression: a solve prepared before an append must commit against
+    the pre-append candidate set — arrivals never leak into a prepared
+    solve."""
 
     def test_commit_uses_pre_append_candidates(self, pool, vocab):
         service = AssignmentService(pool, "hta-gre", SMALL_CONFIG, rng=0)
@@ -475,13 +480,18 @@ class TestMidSolveArrival:
             assert tid in service.pool_state
 
     def test_abandon_mid_arrival_restores_cleanly(self, pool, vocab):
+        """A solve that fails after an arrival (prepared, never committed)
+        leaves the pool holding every candidate plus the arrivals."""
         service = AssignmentService(pool, "hta-gre", SMALL_CONFIG, rng=0)
         service.register_worker(make_worker(vocab), 0.0)
-        before = service.remaining_tasks()
+        before = service.pool_state.task_ids()
         prepared = service.prepare_solve(["w0"])
-        service.admit_tasks(make_arrivals(3))
-        service.abandon_solve(prepared)
-        assert service.remaining_tasks() == before + 3
+        batch = make_arrivals(3)
+        service.admit_tasks(batch)
+        assert service.pool_state.task_ids() == before + [
+            t.task_id for t in batch
+        ]
+        assert all(t.task_id in service.pool_state for t in prepared.candidates)
 
 
 class TestAdmissionSnapshot:
@@ -506,19 +516,6 @@ class TestAdmissionSnapshot:
         with pytest.raises(SimulationError, match="arr-0"):
             restored.admit_tasks([Task("arr-0", np.zeros(12, dtype=bool))])
 
-    def test_pre_arrival_snapshots_restore_without_admitted_key(
-        self, pool, vocab
-    ):
-        """A state dict missing 'admitted' (schema v2 era) still restores."""
-        service = AssignmentService(pool, "hta-gre", SMALL_CONFIG, rng=0)
-        service.register_worker(make_worker(vocab), 0.0)
-        state = service.snapshot_state()
-        state.pop("admitted")
-        restored = AssignmentService(pool, "hta-gre", SMALL_CONFIG, rng=0)
-        restored.restore_state(state, {t.task_id: t for t in pool})
-        assert restored.admitted_tasks() == []
-        assert restored.remaining_tasks() == service.remaining_tasks()
-
 
 def make_service(pool, **config_kwargs):
     """A seeded service over ``pool`` with three registered workers."""
@@ -533,32 +530,37 @@ def make_service(pool, **config_kwargs):
 
 
 class TestPrepareCommit:
-    def test_prepare_leases_disjoint_candidates(self, pool):
-        service = make_service(pool, candidate_cap=20)
+    def test_interleaved_prepares_never_display_a_task_twice(self, pool):
+        """Two solves prepared before either commits see the same pool; the
+        commit's in-pool filter is what keeps their displays disjoint."""
+        service = make_service(pool, candidate_cap=None)
         first = service.prepare_solve(["w0"])
-        second = service.prepare_solve(["w1"])
-        first_ids = {t.task_id for t in first.candidates}
-        second_ids = {t.task_id for t in second.candidates}
-        assert len(first_ids) == len(second_ids) == 20
-        assert not first_ids & second_ids
-        service.abandon_solve(first)
-        service.abandon_solve(second)
-
-    def test_abandon_restores_the_pool(self, pool):
-        service = make_service(pool, candidate_cap=20)
-        before = service.remaining_tasks()
-        prepared = service.prepare_solve(["w0"])
-        assert service.remaining_tasks() == before - 20
-        service.abandon_solve(prepared)
-        assert service.remaining_tasks() == before
-        assert all(t.task_id in service.pool_state for t in prepared.candidates)
+        second = service.prepare_solve(["w1", "w2"])
+        assert [t.task_id for t in first.candidates] == [
+            t.task_id for t in second.candidates
+        ]
+        taken = execute_prepared(first)
+        events = service.commit_solve(first, taken, 1.0)
+        # Hand w1 everything w0 just got on top of its own solve.
+        clash = dict(execute_prepared(second))
+        clash["w1"] = tuple(taken["w0"]) + tuple(clash["w1"])
+        events.update(service.commit_solve(second, clash, 2.0))
+        assert sorted(events) == ["w0", "w1", "w2"]
+        assert set(taken["w0"]) <= set(events["w0"].task_ids)
+        shown = [
+            tid
+            for event in events.values()
+            for tid in event.task_ids + event.random_pad_ids
+        ]
+        assert len(shown) == len(set(shown))
+        assert not set(shown) & set(service.pool_state.task_ids())
 
     def test_lease_is_silent_commit_notifies_once(self, pool):
         service = make_service(pool, candidate_cap=20)
         removed: list[str] = []
         service.pool_state.add_removal_listener(removed.extend)
         prepared = service.prepare_solve(["w0"])
-        assert removed == []  # leasing never notifies listeners
+        assert removed == []  # preparing never notifies listeners
         picked = [t.task_id for t in prepared.candidates[:3]]
         events = service.commit_solve(prepared, {"w0": picked}, 1.0)
         assert set(picked) <= set(removed)
@@ -576,7 +578,7 @@ class TestPrepareCommit:
         service.unregister_worker("w0")
         events = service.commit_solve(prepared, {"w0": picked}, 1.0)
         assert events == {}
-        # The lease (and the would-be assignment) went back to the pool.
+        # The would-be assignment never left the pool.
         assert service.remaining_tasks() == before
 
     def test_commit_falls_back_to_random_draws(self, pool):
@@ -599,7 +601,6 @@ class TestPrepareCommit:
         ids = [t.task_id for t in prepared.candidates]
         expected = pairwise_jaccard(pool.subset(ids).matrix)
         np.testing.assert_allclose(prepared.instance.diversity, expected)
-        service.abandon_solve(prepared)
 
     def test_cache_stays_in_parity_across_commits(self, pool):
         service = make_service(pool, candidate_cap=30)

@@ -209,87 +209,8 @@ class TestSnapshotSchemaVersion:
         assert "schema version 5 (expected)" in message
 
 
-class TestSnapshotMigrations:
-    """Registered migrations upgrade old records on read; everything else
-    still refuses."""
-
-    def test_v2_record_migrates_to_v3_on_read(self, tmp_path):
-        db = tmp_path / "m.db"
-        with SnapshotStore(db, schema_version=2) as writer:
-            writer.save("daemon", {"service": {"n": 4}})
-
-        def upgrade(state):
-            state["service"]["admitted"] = []
-            return state
-
-        with SnapshotStore(db, schema_version=3, migrations={2: upgrade}) as store:
-            record = store.latest_record("daemon")
-        assert record.schema_version == 3  # reports the store's version
-        assert record.state == {"service": {"n": 4, "admitted": []}}
-
-    def test_unregistered_old_version_still_refused(self, tmp_path):
-        """A v3 store migrating v2 must keep refusing v1 records."""
-        db = tmp_path / "m.db"
-        with SnapshotStore(db, schema_version=1) as writer:
-            writer.save("daemon", {"n": 1})
-        with SnapshotStore(
-            db, schema_version=3, migrations={2: lambda state: state}
-        ) as reader:
-            with pytest.raises(StorageError) as err:
-                reader.latest_record("daemon")
-        message = str(err.value)
-        assert "schema version 1 (found)" in message
-        assert "schema version 3 (expected)" in message
-
-    def test_migration_for_own_or_newer_version_rejected(self, tmp_path):
-        with pytest.raises(StorageError, match="older"):
-            SnapshotStore(
-                tmp_path / "m.db",
-                schema_version=3,
-                migrations={3: lambda state: state},
-            )
-        with pytest.raises(StorageError, match="older"):
-            SnapshotStore(
-                tmp_path / "m.db",
-                schema_version=3,
-                migrations={4: lambda state: state},
-            )
-
-    def test_daemon_v2_snapshot_migration_shape(self, tmp_path):
-        """The daemon's registered v2 upgrade adds the empty arrival log."""
-        from repro.serve.app import _migrate_snapshot_v2
-
-        state = {"service": {"pool": ["t0"]}, "displayed_ever": []}
-        migrated = _migrate_snapshot_v2(state)
-        assert migrated["service"]["admitted"] == []
-        # Idempotent, and never clobbers a populated log.
-        populated = {"service": {"admitted": [{"task_id": "arr-0"}]}}
-        assert _migrate_snapshot_v2(populated)["service"]["admitted"] == [
-            {"task_id": "arr-0"}
-        ]
-
-    def test_daemon_v3_snapshot_migration_shape(self, tmp_path):
-        """The v3 upgrade stamps the unsharded shard id a pre-shard
-        snapshot implied; a sharded daemon then refuses to restore it only
-        if its own shard id differs."""
-        from repro.serve.app import _migrate_snapshot_v3
-
-        state = {"service": {"pool": ["t0"]}, "displayed_ever": []}
-        migrated = _migrate_snapshot_v3(state)
-        assert migrated["shard_id"] is None
-        # Idempotent, and never clobbers a real shard id.
-        stamped = {"shard_id": 2, "service": {}}
-        assert _migrate_snapshot_v3(stamped)["shard_id"] == 2
-        assert _migrate_snapshot_v3(migrated)["shard_id"] is None
-
-    def test_daemon_v2_snapshot_migrates_through_to_v4(self, tmp_path):
-        """The chained v2 → v4 upgrade applies both single steps."""
-        from repro.serve.app import _migrate_snapshot_v2_to_v4
-
-        state = {"service": {"pool": ["t0"]}, "displayed_ever": []}
-        migrated = _migrate_snapshot_v2_to_v4(state)
-        assert migrated["service"]["admitted"] == []
-        assert migrated["shard_id"] is None
+class TestSnapshotKinds:
+    """Snapshot kinds keep the records of different shards apart."""
 
     def test_snapshot_kinds_are_shard_namespaced(self, tmp_path):
         """Two shards of one topology can share a snapshot db without
