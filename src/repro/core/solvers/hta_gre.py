@@ -16,7 +16,7 @@ import numpy as np
 from ..assignment import Assignment
 from ..instance import HTAInstance
 from .base import Solver, SolveResult, register_solver
-from .pipeline import run_qap_pipeline
+from .pipeline import check_lsap_shape, run_qap_pipeline
 
 
 @register_solver
@@ -28,6 +28,9 @@ class HTAGreSolver(Solver):
             :func:`repro.matching.lsap.lsap_methods` is accepted).
         matching_method: Matching used on ``B``.
         n_swap_samples: Swap draws to evaluate (1 = paper's algorithm).
+        lsap_shape: ``"clique"`` (default; the greedy LSAP sorts
+            ``|W| * x_max * |T|`` entries) or the paper's ``"square"`` one
+            (``|T|^2`` entries); see :func:`run_qap_pipeline`.
     """
 
     name = "hta-gre"
@@ -37,10 +40,12 @@ class HTAGreSolver(Solver):
         lsap_method: str = "greedy",
         matching_method: str = "greedy",
         n_swap_samples: int = 1,
+        lsap_shape: str = "clique",
     ):
         self._lsap_method = lsap_method
         self._matching_method = matching_method
         self._n_swap_samples = n_swap_samples
+        self._lsap_shape = check_lsap_shape(lsap_shape)
 
     def solve(
         self,
@@ -53,6 +58,7 @@ class HTAGreSolver(Solver):
             rng=rng,
             matching_method=self._matching_method,
             n_swap_samples=self._n_swap_samples,
+            lsap_shape=self._lsap_shape,
         )
         assignment = Assignment.from_indices(instance, output.groups)
         assignment.validate(instance)

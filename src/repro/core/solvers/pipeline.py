@@ -8,7 +8,15 @@ auxiliary LSAP (line 11) is solved:
    graph ``B``;
 3. *profits* — the auxiliary LSAP profit matrix
    ``f[k, l] = bM(t_k) * degA_l + c[k, l]`` (line 10);
-4. *lsap* — solve the LSAP: Hungarian for HTA-APP, greedy for HTA-GRE;
+4. *lsap* — solve the LSAP: Hungarian for HTA-APP, greedy for HTA-GRE.
+   By default only the ``|W| * x_max`` clique columns enter the solver, as
+   a rectangular ``(|W| * x_max) x |T|`` problem: ``f`` is identically zero
+   on the isolated columns (``degA_l`` and ``c[., l]`` both vanish there),
+   so a task placed on one adds nothing, and the best injective map from
+   clique columns to tasks has the value of the paper's square ``n x n``
+   optimum.  The unplaced tasks then take the interchangeable isolated
+   vertices in ascending order.  ``lsap_shape="square"`` keeps the paper's
+   formulation (the Fig. 2/3 reproduction times it);
 5. *swap + decode* — per matched edge, swap the two tasks' vertices with
    probability 1/2 (lines 12-16), then read off ``T_wq`` via Eq. 7.
 
@@ -23,12 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...errors import InvalidInstanceError
 from ...matching.exact import MAX_EXACT_VERTICES, exact_max_weight_matching
 from ...matching.greedy import greedy_matching_dense
 from ...matching.lsap import solve_lsap
 from ...rng import ensure_rng
 from ..qap import QAPEncoding, build_encoding
 from ..instance import HTAInstance
+
+#: Auxiliary LSAP formulations: the clique columns only (default) or the
+#: paper's full square matrix.
+LSAP_SHAPES = ("clique", "square")
 
 
 @dataclass(frozen=True)
@@ -48,6 +61,7 @@ def run_qap_pipeline(
     rng: "int | np.random.Generator | None" = None,
     matching_method: str = "greedy",
     n_swap_samples: int = 1,
+    lsap_shape: str = "clique",
 ) -> PipelineOutput:
     """Run Algorithm 1/2 and return per-worker task indices.
 
@@ -62,9 +76,14 @@ def run_qap_pipeline(
             best by QAP objective is kept.  ``1`` reproduces the paper's
             algorithm exactly; larger values are a practical derandomization
             knob (the 1/4 and 1/8 factors hold *in expectation* over swaps).
+        lsap_shape: ``"clique"`` (default) solves the rectangular
+            ``(|W| * x_max) x |T|`` LSAP over the clique columns;
+            ``"square"`` solves the paper's ``n x n`` one.  Both reach the
+            same optimum; tie-broken choices may differ.
     """
     if n_swap_samples < 1:
         raise ValueError(f"n_swap_samples must be >= 1, got {n_swap_samples}")
+    check_lsap_shape(lsap_shape)
     generator = ensure_rng(rng)
     timings: dict[str, float] = {}
 
@@ -90,9 +109,12 @@ def run_qap_pipeline(
     # even a random deal.  The guarantee holds for every fixed labeling, so
     # it also holds in expectation over a uniform one.
     row_order = generator.permutation(encoding.n_vertices)
-    shuffled = solve_lsap(profits[row_order], lsap_method).row_to_col
-    base_permutation = np.empty(encoding.n_vertices, dtype=np.intp)
-    base_permutation[row_order] = shuffled
+    if lsap_shape == "square":
+        shuffled = solve_lsap(profits[row_order], lsap_method).row_to_col
+        base_permutation = np.empty(encoding.n_vertices, dtype=np.intp)
+        base_permutation[row_order] = shuffled
+    else:
+        base_permutation = _clique_lsap(encoding, profits, row_order, lsap_method)
     timings["lsap"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -108,6 +130,7 @@ def run_qap_pipeline(
         "matching_method": matching_method,
         "matching_size": len(matching),
         "n_swap_samples": n_swap_samples,
+        "lsap_shape": lsap_shape,
     }
     return PipelineOutput(
         groups=groups,
@@ -116,6 +139,15 @@ def run_qap_pipeline(
         timings=timings,
         info=info,
     )
+
+
+def check_lsap_shape(lsap_shape: str) -> str:
+    """Return ``lsap_shape`` if it names a formulation, else raise."""
+    if lsap_shape not in LSAP_SHAPES:
+        raise InvalidInstanceError(
+            f"unknown lsap_shape {lsap_shape!r}; use 'clique' or 'square'"
+        )
+    return lsap_shape
 
 
 def _diversity_matching(
@@ -145,6 +177,28 @@ def _matched_edge_weights(
         weights[i] = w
         weights[j] = w
     return weights
+
+
+def _clique_lsap(
+    encoding: QAPEncoding,
+    profits: np.ndarray,
+    row_order: np.ndarray,
+    lsap_method: str,
+) -> np.ndarray:
+    """Solve the LSAP over the clique columns; return the vertex of each task.
+
+    Clique columns become rows and the shuffled tasks become columns, so
+    ``n_rows <= n_cols`` holds.  Clique vertex ``c`` takes task
+    ``row_order[row_to_col[c]]``; the unplaced tasks take the isolated
+    vertices ``n_clique..n-1`` in ascending task order.
+    """
+    n_clique = encoding.n_workers * encoding.x_max
+    clique_profits = np.ascontiguousarray(profits[row_order, :n_clique].T)
+    placed = row_order[solve_lsap(clique_profits, lsap_method).row_to_col]
+    permutation = np.full(encoding.n_vertices, -1, dtype=np.intp)
+    permutation[placed] = np.arange(n_clique)
+    permutation[permutation < 0] = np.arange(n_clique, encoding.n_vertices)
+    return permutation
 
 
 def _best_swap(

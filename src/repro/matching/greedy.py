@@ -30,6 +30,13 @@ def greedy_matching_dense(weights: np.ndarray) -> list[tuple[int, int]]:
     unmatched is never worse than matching them at weight <= 0, and skipping
     keeps the 1/2 bound while avoiding useless pairs.
 
+    The upper-triangle edges are visited in the stable order of decreasing
+    weight, in chunks that double from ``n`` edges.  Matched status only
+    grows, so an edge with an endpoint matched before its chunk starts would
+    be skipped anyway; numpy drops those and only the survivors reach the
+    Python check.  The walk stops once at most one vertex is free.  The
+    output is edge for edge that of the one-edge-at-a-time loop.
+
     Returns a list of ``(i, j)`` with ``i < j``, vertex-disjoint, ordered by
     decreasing weight.
 
@@ -46,15 +53,21 @@ def greedy_matching_dense(weights: np.ndarray) -> list[tuple[int, int]]:
     rows, cols = np.triu_indices(n, k=1)
     edge_weights = matrix[rows, cols]
     order = np.argsort(-edge_weights, kind="stable")
+    # Positive weights sort first, so they are a prefix of the order.
+    order = order[: np.count_nonzero(edge_weights > 0.0)]
     matched = np.zeros(n, dtype=bool)
     matching: list[tuple[int, int]] = []
-    for e in order:
-        if edge_weights[e] <= 0.0:
-            break
-        i, j = int(rows[e]), int(cols[e])
-        if not matched[i] and not matched[j]:
-            matched[i] = matched[j] = True
-            matching.append((i, j))
+    start, chunk = 0, n
+    while start < len(order) and n - 2 * len(matching) > 1:
+        block = order[start : start + chunk]
+        start += chunk
+        chunk *= 2
+        r, c = rows[block], cols[block]
+        live = ~(matched[r] | matched[c])
+        for i, j in zip(r[live].tolist(), c[live].tolist()):
+            if not matched[i] and not matched[j]:
+                matched[i] = matched[j] = True
+                matching.append((i, j))
     return matching
 
 

@@ -85,30 +85,28 @@ def hungarian(profit: np.ndarray, kernel: str | None = None) -> LSAPSolution:
     """Optimal maximization LSAP via shortest augmenting paths.
 
     Runs the textbook Hungarian algorithm with row/column potentials on the
-    negated matrix (max-profit == min-cost).  The default ``"vectorized"``
-    kernel (:mod:`repro.perf.lsap_kernels`) solves rectangular inputs
-    directly — one augmentation per real row, ``O(n_rows^2 n_cols)``; the
-    ``"reference"`` kernel pads with zero-profit rows and solves the square
-    problem in ``O(n_cols^3)``, serving as the differential oracle.
+    negated matrix (max-profit == min-cost), one augmentation per row, so a
+    rectangle costs ``O(n_rows^2 n_cols)``.  The default ``"vectorized"``
+    kernel (:mod:`repro.perf.lsap_kernels`) keeps incremental search state;
+    the ``"reference"`` kernel rebuilds it with index arrays and serves as
+    the differential oracle.  Both break ties identically, so they return
+    the same assignment on every input.
 
     >>> hungarian(np.array([[4., 1.], [2., 3.]])).value
     7.0
     """
     matrix = _check_profit(profit)
-    n_rows, n_cols = matrix.shape
     cost = -matrix
     resolved = resolve_kernel("lsap", kernel)
     if resolved == "vectorized":
         row_to_col = hungarian_min_rect(cost)
     else:
-        if n_rows < n_cols:
-            cost = np.vstack([cost, np.zeros((n_cols - n_rows, n_cols))])
-        row_to_col = _hungarian_min_square(np.ascontiguousarray(cost))[:n_rows]
+        row_to_col = _hungarian_min_reference(np.ascontiguousarray(cost))
     return LSAPSolution(row_to_col, _value(matrix, row_to_col))
 
 
-def _hungarian_min_square(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost perfect assignment of a square matrix.
+def _hungarian_min_reference(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost assignment of every row of an ``n_rows <= n_cols`` matrix.
 
     Classic potentials formulation (e.g. Burkard et al., "Assignment
     Problems"): rows are inserted one at a time and an augmenting path of
@@ -116,16 +114,16 @@ def _hungarian_min_square(cost: np.ndarray) -> np.ndarray:
     potentials; ``p[j]`` is the row currently matched to column ``j``
     (1-based, 0 = virtual column).
     """
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.intp)
-    way = np.zeros(n + 1, dtype=np.intp)
-    for i in range(1, n + 1):
+    n_rows, n_cols = cost.shape
+    u = np.zeros(n_rows + 1)
+    v = np.zeros(n_cols + 1)
+    p = np.zeros(n_cols + 1, dtype=np.intp)
+    way = np.zeros(n_cols + 1, dtype=np.intp)
+    for i in range(1, n_rows + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = np.full(n_cols + 1, np.inf)
+        used = np.zeros(n_cols + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = p[j0]
@@ -151,9 +149,10 @@ def _hungarian_min_square(cost: np.ndarray) -> np.ndarray:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    row_to_col = np.empty(n, dtype=np.intp)
-    for j in range(1, n + 1):
-        row_to_col[p[j] - 1] = j - 1
+    row_to_col = np.empty(n_rows, dtype=np.intp)
+    for j in range(1, n_cols + 1):
+        if p[j]:
+            row_to_col[p[j] - 1] = j - 1
     return row_to_col
 
 

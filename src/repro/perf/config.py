@@ -9,11 +9,11 @@ Two hot paths have interchangeable kernels:
 * ``"lsap"`` — the Hungarian solver in :mod:`repro.matching.lsap`:
   ``"vectorized"`` (rectangular-aware augmenting-path search with
   vectorized inner loops, :mod:`repro.perf.lsap_kernels`) or
-  ``"reference"`` (the original pad-to-square implementation, the oracle).
+  ``"reference"`` (the original index-array implementation, the oracle).
 
-Both kernels of a domain produce bit-identical float results on square
-inputs; the differential suite in ``tests/test_perf_kernels.py``
-enforces that.  Defaults favour the fast kernels and can be overridden
+Both kernels of a domain produce identical results: bit-identical floats
+for Jaccard, the same assignment for every LSAP input.  The differential
+suite in ``tests/test_perf_kernels.py`` enforces that.  Defaults favour the fast kernels and can be overridden
 process-wide via :func:`set_kernel`, per call site via the ``kernel=``
 argument the hot functions accept, or at startup via the environment
 variables ``REPRO_JACCARD_KERNEL`` / ``REPRO_LSAP_KERNEL``.

@@ -74,8 +74,10 @@ from ..perf.config import use_kernel
 #: same events produces; replay refuses mismatches.  Version 2 dropped the
 #: per-solve lease number from solve events, and a prepared solve no longer
 #: takes its candidates out of the pool; that keeps the pool in a different
-#: order, so later random draws differ from a version-1 run.
-JOURNAL_VERSION = 2
+#: order, so later random draws differ from a version-1 run.  Version 3
+#: solves the auxiliary LSAP over the clique columns only: the optimum is
+#: the same, but tie-broken task choices differ from a version-2 run.
+JOURNAL_VERSION = 3
 
 #: Required fields per event type (beyond ``type`` and ``seq``); an event
 #: with a missing field or an unknown type is schema drift and fails load.

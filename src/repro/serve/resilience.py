@@ -6,7 +6,8 @@ worker churn mid-batch.  This module provides the two halves of that story:
 
 * :class:`DegradationController` — overload detection and load shedding.
   The paper itself supplies the degradation ladder: HTA-APP is the 1/4
-  approximation with an ``O(|T|^3)`` Hungarian step, HTA-GRE trades that for
+  approximation with an optimal Hungarian step (``O(|T|^3)`` in the paper,
+  ``O((|W| x_max)^2 |T|)`` over the clique columns), HTA-GRE trades that for
   a 1/8 factor at ``O(|T|^2 log |T|)`` (Section IV-C), and below both sits a
   relevance-only greedy dealer that never touches the quadratic diversity
   term at all.  The controller watches per-solve wall time against a budget

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import InvalidInstanceError
 from repro.matching import (
@@ -59,6 +60,28 @@ class TestGreedyDense:
         w = random_symmetric(8, 0) + 0.01
         np.fill_diagonal(w, 0.0)
         assert len(greedy_matching_dense(w)) == 4
+
+
+@st.composite
+def tied_symmetric(draw):
+    """Symmetric integer weights in [-2, 3]: many ties, zeros, negatives."""
+    n = draw(st.integers(0, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    w = np.random.default_rng(seed).integers(-2, 4, size=(n, n)).astype(float)
+    w = np.triu(w, 1)
+    return w + w.T
+
+
+class TestGreedyDenseEqualsEdgeLoop:
+    @given(tied_symmetric())
+    @settings(max_examples=200, deadline=None)
+    def test_identical_to_one_edge_at_a_time(self, w):
+        """The chunked dense walk returns the sequential greedy matching edge
+        for edge: the edge-list walk over the upper triangle in row-major
+        order (a stable sort keeps that order among ties)."""
+        rows, cols = np.triu_indices(len(w), k=1)
+        edges = [(int(i), int(j), w[i, j]) for i, j in zip(rows, cols)]
+        assert greedy_matching_dense(w) == greedy_matching_edges(edges)
 
 
 class TestGreedyEdges:

@@ -3,14 +3,18 @@
 The packed Jaccard kernel and the vectorized Hungarian kernel are only
 allowed to exist because they are indistinguishable from the originals:
 packed-vs-dense distances must be *bit-identical* (``==``, not allclose),
-and the vectorized LSAP must reproduce the reference assignment on square
-inputs and the optimal value everywhere.
+and the vectorized LSAP must reproduce the reference assignment entry for
+entry, on square and rectangular inputs alike.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.distance import pairwise_jaccard
+from repro.core.qap import build_encoding
+from repro.experiments import build_offline_instance
+from repro.matching.greedy import greedy_matching_dense
 from repro.matching.lsap import brute_force_lsap, hungarian
 from repro.perf import config as perf_config
 from repro.perf.bitpack import PackedMatrix, pack_rows, packed_intersections, popcount
@@ -176,9 +180,19 @@ class TestHungarianDifferential:
             slow = hungarian(profit, kernel="reference")
             np.testing.assert_array_equal(fast.row_to_col, slow.row_to_col)
 
+    def test_rectangular_with_ties_identical(self):
+        """Wide tie-heavy rectangles: the clique-column LSAP's shape."""
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n_rows = int(rng.integers(0, 10))
+            n_cols = int(rng.integers(max(n_rows, 1), 30))
+            profit = rng.integers(-1, 3, size=(n_rows, n_cols)).astype(float)
+            fast = hungarian(profit, kernel="vectorized")
+            slow = hungarian(profit, kernel="reference")
+            np.testing.assert_array_equal(fast.row_to_col, slow.row_to_col)
+
     def test_rectangular_matches_brute_force(self):
-        """Regression for the pad-to-square O(n_cols^3) path: the direct
-        rectangular solve must stay optimal on wide matrices."""
+        """The direct rectangular solve must stay optimal on wide matrices."""
         rng = np.random.default_rng(6)
         for _ in range(60):
             n_rows = int(rng.integers(1, 7))
@@ -191,13 +205,43 @@ class TestHungarianDifferential:
                 assert solution.is_valid(n_cols)
 
     def test_very_wide_rectangular(self):
-        """n_rows << n_cols — the shape the padded-row short-circuit targets."""
+        """n_rows << n_cols — a few workers against many candidate tasks."""
         rng = np.random.default_rng(8)
         profit = rng.random((5, 300))
         fast = hungarian(profit, kernel="vectorized")
         slow = hungarian(profit, kernel="reference")
-        assert fast.value == pytest.approx(slow.value)
+        np.testing.assert_array_equal(fast.row_to_col, slow.row_to_col)
         assert fast.is_valid(300)
+
+    @given(
+        n_groups=st.integers(1, 4),
+        per_group=st.integers(5, 20),
+        n_workers=st.integers(1, 4),
+        x_max=st.integers(2, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_clique_profits_from_amt_pools_identical(
+        self, n_groups, per_group, n_workers, x_max, seed
+    ):
+        """The HTA pipeline's rectangular input — clique columns as rows,
+        shuffled tasks as columns — is massively tied on AMT pools; both
+        kernels must still pick the same columns, or the ``lsap-reference``
+        replay variant diverges from the recorded run."""
+        instance = build_offline_instance(
+            n_groups * per_group, per_group, n_workers, x_max, rng=seed
+        )
+        encoding = build_encoding(instance)
+        n = encoding.n_vertices
+        weights = np.zeros(n)
+        for i, j in greedy_matching_dense(encoding.diversity):
+            weights[i] = weights[j] = encoding.diversity[i, j]
+        row_order = np.random.default_rng(seed).permutation(n)
+        n_clique = n_workers * x_max
+        profit = encoding.profit_matrix(weights)[row_order, :n_clique].T
+        fast = hungarian(profit, kernel="vectorized")
+        slow = hungarian(profit, kernel="reference")
+        np.testing.assert_array_equal(fast.row_to_col, slow.row_to_col)
 
     def test_kernel_selection_via_config(self):
         profit = np.array([[4.0, 1.0], [2.0, 3.0]])

@@ -175,7 +175,7 @@ class TestJournalSchema:
             load_journal(empty)
 
     @pytest.mark.parametrize(
-        "version", [JOURNAL_VERSION - 1, JOURNAL_VERSION + 1]
+        "version", [*range(1, JOURNAL_VERSION), JOURNAL_VERSION + 1]
     )
     def test_version_mismatch_rejected(self, recorded, tmp_path, version):
         def bump(record):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.qap import build_encoding
 from repro.core.solvers import (
     ExactSolver,
     HTAAppSolver,
@@ -12,8 +14,11 @@ from repro.core.solvers import (
     solver_names,
 )
 from repro.core.solvers.base import Solver
+from repro.core.solvers import pipeline
 from repro.core.solvers.pipeline import run_qap_pipeline
-from repro.errors import UnknownSolverError
+from repro.errors import InvalidInstanceError, UnknownSolverError
+from repro.matching.greedy import greedy_matching_dense
+from repro.matching.lsap import solve_lsap
 
 from conftest import make_random_instance
 
@@ -171,3 +176,62 @@ class TestPipelineOptions:
     def test_gre_with_auction_lsap(self, small_instance):
         result = HTAGreSolver(lsap_method="auction").solve(small_instance, rng=0)
         result.assignment.validate(small_instance)
+
+
+class TestLsapShape:
+    """The clique-column LSAP reaches the paper's square optimum."""
+
+    @given(
+        n_workers=st.integers(1, 4),
+        x_max=st.integers(1, 4),
+        extra=st.integers(-6, 10),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_clique_and_square_agree(self, n_workers, x_max, extra, seed):
+        # |T| below, at and above the clique span |W| * x_max.
+        n_clique = n_workers * x_max
+        n_tasks = max(1, n_clique + extra)
+        instance = make_random_instance(n_tasks, n_workers, x_max, seed=seed)
+        encoding = build_encoding(instance)
+        n = encoding.n_vertices
+        weights = np.zeros(n)
+        for i, j in greedy_matching_dense(encoding.diversity):
+            weights[i] = weights[j] = encoding.diversity[i, j]
+        profits = encoding.profit_matrix(weights)
+        assert not profits[:, n_clique:].any()
+
+        row_order = np.random.default_rng(seed).permutation(n)
+        square = solve_lsap(profits[row_order], "hungarian").value
+        permutation = pipeline._clique_lsap(encoding, profits, row_order, "hungarian")
+        assert sorted(permutation.tolist()) == list(range(n))
+        clique = float(profits[np.arange(n), permutation].sum())
+        assert clique == pytest.approx(square, rel=1e-9, abs=1e-9)
+
+        for shape in pipeline.LSAP_SHAPES:
+            output = run_qap_pipeline(instance, "hungarian", rng=seed, lsap_shape=shape)
+            assert sorted(output.permutation.tolist()) == list(range(n))
+            assert output.qap_objective == pytest.approx(
+                encoding.objective_dense(output.permutation), rel=1e-9, abs=1e-9
+            )
+            assert output.info["lsap_shape"] == shape
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: run_qap_pipeline(
+                make_random_instance(8, 2, 3), "hungarian", lsap_shape="dense"
+            ),
+            lambda: HTAAppSolver(lsap_shape="dense"),
+            lambda: HTAGreSolver(lsap_shape="dense"),
+        ],
+    )
+    def test_unknown_shape_names_both(self, build):
+        with pytest.raises(InvalidInstanceError, match="'clique' or 'square'"):
+            build()
+
+    @pytest.mark.parametrize("name", ["hta-app", "hta-gre"])
+    def test_solvers_default_to_clique(self, small_instance, name):
+        assert get_solver(name).solve(small_instance, 0).info["lsap_shape"] == "clique"
+        square = get_solver(name, lsap_shape="square").solve(small_instance, 0)
+        assert square.info["lsap_shape"] == "square"
