@@ -27,6 +27,15 @@ Quickstart::
     print(result.assignment.summary(), result.objective)
 """
 
+import os
+
+# One BLAS thread unless the operator says otherwise.  The Jaccard kernel's
+# products are small; a second OpenBLAS thread buys them little and spins
+# after each one, which the serving daemon pays for in CPU on every ingest.
+# OpenBLAS reads this once, when numpy loads it, so it is set before any
+# module of the package imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import (
     Assignment,
     HTAInstance,

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NotAMetricError
-from ..perf import bitpack
-from ..perf.config import resolve_kernel
 
 DistanceFn = Callable[[np.ndarray, np.ndarray], float]
 
-#: Rows per block in the pairwise-matrix computation.  512 keeps the per-block
-#: intermediate (block x n x r for booleans) small even for wide vocabularies.
+#: Rows per block in the pairwise-matrix computation.  512 bounds the per-block
+#: float64 intermediates (intersection, union) at 512 x m each.
 _BLOCK_ROWS = 512
 
 
@@ -174,10 +172,22 @@ def check_metric_on_sample(
                     )
 
 
+def keyword_intersections(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Intersection counts ``|u & v|`` for every (left row, right row) pair.
+
+    One float64 BLAS product of the 0/1 matrices.  Every product and partial
+    sum is an integer no larger than the keyword count, far below 2**53, so
+    the counts are exact in any summation order.
+
+    >>> keyword_intersections(np.array([[1, 1, 0]], bool), np.array([[0, 1, 1]], bool))
+    array([[1.]])
+    """
+    return np.asarray(left, dtype=np.float64) @ np.asarray(right, dtype=np.float64).T
+
+
 def pairwise_jaccard(
     matrix: np.ndarray,
     other: np.ndarray | None = None,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Dense Jaccard-distance matrix between rows of boolean matrices.
 
@@ -185,43 +195,27 @@ def pairwise_jaccard(
     between rows of ``matrix``; with two arguments the ``(n, m)`` cross
     matrix.
 
-    Both kernels compute exact integer intersection counts blockwise —
-    ``"packed"`` (default) as popcounts over bit-packed ``uint64`` words,
-    ``"dense"`` as int64 dot products ``|u & v| = u . v`` — and share the
-    float post-processing below, so their outputs are bit-identical.
-    ``kernel=None`` defers to :func:`repro.perf.config.get_kernel`.
+    Intersection counts come from :func:`keyword_intersections` per block
+    of rows; they are exact, so the distances equal
+    :func:`jaccard_distance` bit for bit.
     """
-    chosen = resolve_kernel("jaccard", kernel)
     left = np.asarray(matrix, dtype=bool)
     right = left if other is None else np.asarray(other, dtype=bool)
-    left_counts = left.sum(axis=1).astype(np.int64)
-    right_counts = right.sum(axis=1).astype(np.int64)
+    left_float = left.astype(np.float64)
+    right_float = left_float if other is None else right.astype(np.float64)
+    left_counts = left.sum(axis=1).astype(np.float64)
+    right_counts = right.sum(axis=1).astype(np.float64)
     n, m = left.shape[0], right.shape[0]
-    out = np.empty((n, m), dtype=np.float64)
-    if chosen == "packed":
-        left_words = bitpack.pack_rows(left)
-        right_words = left_words if other is None else bitpack.pack_rows(right)
-
-        def intersections(start: int, stop: int) -> np.ndarray:
-            return bitpack.packed_intersections(left_words[start:stop], right_words)
-
-    else:
-        left_int = left.astype(np.int64)
-        right_int_t = right.astype(np.int64).T
-
-        def intersections(start: int, stop: int) -> np.ndarray:
-            return left_int[start:stop] @ right_int_t
-
+    # Two empty vectors have union 0 and are identical: distance 0, which
+    # the zero fill supplies wherever the ``where=`` masks below skip.
+    out = np.zeros((n, m), dtype=np.float64)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        intersection = intersections(start, stop)
+        intersection = keyword_intersections(left_float[start:stop], right_float)
         union = left_counts[start:stop, None] + right_counts[None, :] - intersection
-        block = np.ones_like(intersection, dtype=np.float64)
         nonzero = union > 0
-        block[nonzero] = 1.0 - intersection[nonzero] / union[nonzero]
-        # Two empty vectors have union 0 and are identical: distance 0.
-        block[~nonzero] = 0.0
-        out[start:stop] = block
+        np.divide(intersection, union, out=intersection, where=nonzero)
+        np.subtract(1.0, intersection, out=out[start:stop], where=nonzero)
     if other is None:
         np.fill_diagonal(out, 0.0)
     return out

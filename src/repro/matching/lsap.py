@@ -164,24 +164,34 @@ def greedy_lsap(profit: np.ndarray) -> LSAPSolution:
     bipartite graph is complete, the result is always a perfect matching on
     the rows, and GreedyMatching's 1/2 bound applies (Lemma 4).
 
+    The entries are visited in the stable order of decreasing profit, in
+    chunks that double from ``n_cols`` entries.  Taken rows and columns only
+    accumulate, so an entry whose row or column is taken before its chunk
+    starts would be skipped anyway; numpy drops those and only the
+    survivors reach the Python check.  The output is entry for entry that
+    of the one-entry-at-a-time loop.
+
     Complexity ``O(n^2 log n)``.
     """
     matrix = _check_profit(profit)
     n_rows, n_cols = matrix.shape
     order = np.argsort(-matrix, axis=None, kind="stable")
-    rows, cols = np.unravel_index(order, matrix.shape)
     row_free = np.ones(n_rows, dtype=bool)
     col_free = np.ones(n_cols, dtype=bool)
     row_to_col = np.full(n_rows, -1, dtype=np.intp)
     assigned = 0
-    for r, c in zip(rows, cols):
-        if row_free[r] and col_free[c]:
-            row_to_col[r] = c
-            row_free[r] = False
-            col_free[c] = False
-            assigned += 1
-            if assigned == n_rows:
-                break
+    start, chunk = 0, n_cols
+    while assigned < n_rows and start < order.size:
+        rows, cols = np.divmod(order[start : start + chunk], n_cols)
+        start += chunk
+        chunk *= 2
+        live = row_free[rows] & col_free[cols]
+        for r, c in zip(rows[live].tolist(), cols[live].tolist()):
+            if row_free[r] and col_free[c]:
+                row_to_col[r] = c
+                row_free[r] = False
+                col_free[c] = False
+                assigned += 1
     return LSAPSolution(row_to_col, _value(matrix, row_to_col))
 
 

@@ -1,11 +1,9 @@
 """Performance kernels for the numeric hot paths.
 
-See :mod:`repro.perf.config` for kernel selection, :mod:`repro.perf.bitpack`
-for the bit-packed Jaccard kernel, and :mod:`repro.perf.lsap_kernels` for
-the vectorized Hungarian search.
+See :mod:`repro.perf.config` for kernel selection and
+:mod:`repro.perf.lsap_kernels` for the vectorized Hungarian search.
 """
 
-from repro.perf.bitpack import PackedMatrix, pack_rows, packed_intersections, popcount
 from repro.perf.config import (
     KERNELS,
     get_kernel,
@@ -18,12 +16,8 @@ from repro.perf.lsap_kernels import hungarian_min_rect
 
 __all__ = [
     "KERNELS",
-    "PackedMatrix",
     "get_kernel",
     "hungarian_min_rect",
-    "pack_rows",
-    "packed_intersections",
-    "popcount",
     "reset_kernels",
     "resolve_kernel",
     "set_kernel",

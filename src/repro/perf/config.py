@@ -1,22 +1,17 @@
-"""Kernel selection for the performance-critical numeric paths.
+"""Kernel selection for the Hungarian LSAP solver.
 
-Two hot paths have interchangeable kernels:
+The ``"lsap"`` domain has two interchangeable kernels for
+:mod:`repro.matching.lsap`: ``"vectorized"`` (rectangular-aware
+augmenting-path search with vectorized inner loops,
+:mod:`repro.perf.lsap_kernels`) and ``"reference"`` (the original
+index-array implementation, the oracle).
 
-* ``"jaccard"`` — the pairwise-Jaccard matrix in :mod:`repro.core.distance`:
-  ``"packed"`` (bit-packed uint64 popcounts, :mod:`repro.perf.bitpack`) or
-  ``"dense"`` (the original int64-matmul path, kept as the differential
-  oracle);
-* ``"lsap"`` — the Hungarian solver in :mod:`repro.matching.lsap`:
-  ``"vectorized"`` (rectangular-aware augmenting-path search with
-  vectorized inner loops, :mod:`repro.perf.lsap_kernels`) or
-  ``"reference"`` (the original index-array implementation, the oracle).
-
-Both kernels of a domain produce identical results: bit-identical floats
-for Jaccard, the same assignment for every LSAP input.  The differential
-suite in ``tests/test_perf_kernels.py`` enforces that.  Defaults favour the fast kernels and can be overridden
-process-wide via :func:`set_kernel`, per call site via the ``kernel=``
-argument the hot functions accept, or at startup via the environment
-variables ``REPRO_JACCARD_KERNEL`` / ``REPRO_LSAP_KERNEL``.
+Both kernels produce the same assignment for every LSAP input; the
+differential suite in ``tests/test_perf_kernels.py`` enforces that.  The
+default favours the fast kernel and can be overridden process-wide via
+:func:`set_kernel`, per call site via the ``kernel=`` argument
+:func:`repro.matching.lsap.hungarian` accepts, or at startup via the
+environment variable ``REPRO_LSAP_KERNEL``.
 """
 
 from __future__ import annotations
@@ -26,12 +21,10 @@ from contextlib import contextmanager
 
 #: domain -> allowed kernel names, fastest (default) first.
 KERNELS: dict[str, tuple[str, ...]] = {
-    "jaccard": ("packed", "dense"),
     "lsap": ("vectorized", "reference"),
 }
 
 _ENV_VARS = {
-    "jaccard": "REPRO_JACCARD_KERNEL",
     "lsap": "REPRO_LSAP_KERNEL",
 }
 

@@ -15,8 +15,9 @@ its backing rows, computes one ``(new, live)`` cross-distance block plus one
 ``(new, new)`` self block, and writes them into an over-allocated backing
 buffer.  The buffer grows geometrically, so the ``O(n^2)`` re-pack cost is
 amortized across appends the same way a dynamic array amortizes copies.
-Because every Jaccard entry is derived from exact integer intersection and
-union counts with a single float operation, block-appended entries are
+Every Jaccard entry is derived from exact integer intersection and union
+counts (a float64 BLAS product of 0/1 vectors is exact) by the same float
+operations whichever block it lands in, so block-appended entries are
 bit-identical to a from-scratch rebuild of the full matrix — the
 differential suites assert exactly that.
 

@@ -34,9 +34,9 @@ again:
   that solve.
 
 * :func:`replay_differential` — replays one journal under multiple
-  configurations (:class:`ReplayVariant`): the default kernels, the dense
-  vs bit-packed Jaccard kernels, the reference vs vectorized LSAP kernels,
-  and optionally a pinned degradation-ladder tier.  Because live serving
+  configurations (:class:`ReplayVariant`): the default kernels, the
+  reference vs vectorized LSAP kernels, and optionally a pinned
+  degradation-ladder tier.  Because live serving
   funnels every solve through the same
   :func:`~repro.crowd.service.execute_prepared` computation, all unpinned
   variants must agree bit-for-bit; a pinned tier is a diagnostic that shows
@@ -465,13 +465,12 @@ def pool_from_corpus_spec(spec: dict) -> TaskPool:
 class ReplayVariant:
     """One configuration to replay a journal under.
 
-    Kernel overrides select the oracle kernels; ``pinned_solver`` forces
+    ``lsap_kernel`` selects the oracle LSAP kernel; ``pinned_solver`` forces
     every solve (and non-adaptive register) onto one ladder tier
     regardless of what was recorded.
     """
 
     label: str = "in-loop"
-    jaccard_kernel: "str | None" = None
     lsap_kernel: "str | None" = None
     pinned_solver: "str | None" = None
 
@@ -618,8 +617,6 @@ def replay_journal(
         # Same seam the daemon wires: reputation scales the relevance term.
         state.service.set_reputation_provider(quality.reputation.mean)
     with contextlib.ExitStack() as stack:
-        if variant.jaccard_kernel is not None:
-            stack.enter_context(use_kernel("jaccard", variant.jaccard_kernel))
         if variant.lsap_kernel is not None:
             stack.enter_context(use_kernel("lsap", variant.lsap_kernel))
         for event in journal.events:
@@ -1035,7 +1032,6 @@ def default_variants(
     """The differential panel: every configuration that must agree."""
     variants = [
         ReplayVariant("in-loop"),
-        ReplayVariant("jaccard-dense", jaccard_kernel="dense"),
         ReplayVariant("lsap-reference", lsap_kernel="reference"),
     ]
     if pin_tier is not None:

@@ -9,6 +9,7 @@ from repro.matching import (
     cover_map,
     exact_matching_weight,
     exact_max_weight_matching,
+    greedy_lsap,
     greedy_matching_dense,
     greedy_matching_edges,
     is_matching,
@@ -82,6 +83,41 @@ class TestGreedyDenseEqualsEdgeLoop:
         rows, cols = np.triu_indices(len(w), k=1)
         edges = [(int(i), int(j), w[i, j]) for i, j in zip(rows, cols)]
         assert greedy_matching_dense(w) == greedy_matching_edges(edges)
+
+
+def greedy_lsap_entry_loop(profit: np.ndarray) -> np.ndarray:
+    """Greedy LSAP one entry at a time: the stable order of decreasing
+    profit, taking each entry whose row and column are both free."""
+    n_rows, n_cols = profit.shape
+    row_to_col = np.full(n_rows, -1, dtype=np.intp)
+    col_taken: set[int] = set()
+    for flat in np.argsort(-profit, axis=None, kind="stable").tolist():
+        r, c = divmod(flat, n_cols)
+        if row_to_col[r] < 0 and c not in col_taken:
+            row_to_col[r] = c
+            col_taken.add(c)
+    return row_to_col
+
+
+@st.composite
+def tied_rectangle(draw):
+    """Integer profits in [-1, 2] with n_rows <= n_cols: many ties."""
+    n_rows = draw(st.integers(0, 30))
+    n_cols = draw(st.integers(max(n_rows, 1), 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return rng.integers(-1, 3, size=(n_rows, n_cols)).astype(float)
+
+
+class TestGreedyLSAPEqualsEntryLoop:
+    @given(tied_rectangle())
+    @settings(max_examples=200, deadline=None)
+    def test_identical_to_one_entry_at_a_time(self, profit):
+        """The chunked walk assigns every row the column the sequential
+        greedy loop assigns it."""
+        np.testing.assert_array_equal(
+            greedy_lsap(profit).row_to_col, greedy_lsap_entry_loop(profit)
+        )
 
 
 class TestGreedyEdges:

@@ -1,27 +1,31 @@
-"""Differential suite for the repro.perf kernels.
+"""Differential suite for the numeric hot-path kernels.
 
-The packed Jaccard kernel and the vectorized Hungarian kernel are only
-allowed to exist because they are indistinguishable from the originals:
-packed-vs-dense distances must be *bit-identical* (``==``, not allclose),
-and the vectorized LSAP must reproduce the reference assignment entry for
-entry, on square and rectangular inputs alike.
+The BLAS Jaccard kernel must equal the scalar :func:`jaccard_distance`
+bit for bit (``==``, not allclose), and the vectorized Hungarian kernel
+must reproduce the reference assignment entry for entry, on square and
+rectangular inputs alike.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.distance import pairwise_jaccard
+from repro.core import distance
+from repro.core.distance import jaccard_distance, keyword_intersections, pairwise_jaccard
 from repro.core.qap import build_encoding
 from repro.experiments import build_offline_instance
 from repro.matching.greedy import greedy_matching_dense
 from repro.matching.lsap import brute_force_lsap, hungarian
 from repro.perf import config as perf_config
-from repro.perf.bitpack import PackedMatrix, pack_rows, packed_intersections, popcount
 from repro.perf.lsap_kernels import hungarian_min_rect
 
-#: Keyword-space widths straddling the uint64 word boundaries.
-WIDTHS = (1, 7, 63, 64, 65, 130)
+#: Keyword-space widths: empty, and either side of the 64-bit boundaries.
+WIDTHS = (0, 1, 7, 63, 64, 65, 130)
 
 
 @pytest.fixture(autouse=True)
@@ -31,31 +35,19 @@ def _clean_kernel_selection():
     perf_config.reset_kernels()
 
 
+def scalar_jaccard(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The oracle: :func:`jaccard_distance` on every (left, right) row pair."""
+    return np.array(
+        [[jaccard_distance(u, v) for v in right] for u in left]
+    ).reshape(len(left), len(right))
+
+
 class TestBitpack:
-    def test_popcount_matches_python(self):
-        rng = np.random.default_rng(0)
-        words = rng.integers(0, 2**63, size=50, dtype=np.uint64)
-        expected = np.array([bin(int(w)).count("1") for w in words])
-        np.testing.assert_array_equal(popcount(words), expected)
+    """Exact keyword-intersection counts.
 
-    def test_pack_rows_little_endian_words(self):
-        np.testing.assert_array_equal(
-            pack_rows(np.array([[1, 0, 1]], dtype=bool)),
-            np.array([[5]], dtype=np.uint64),
-        )
-        # Bit 64 lands in the second word.
-        wide = np.zeros((1, 65), dtype=bool)
-        wide[0, 64] = True
-        np.testing.assert_array_equal(
-            pack_rows(wide), np.array([[0, 1]], dtype=np.uint64)
-        )
-
-    def test_pack_rows_zero_width(self):
-        assert pack_rows(np.zeros((4, 0), dtype=bool)).shape == (4, 0)
-
-    def test_pack_rows_rejects_1d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            pack_rows(np.zeros(8, dtype=bool))
+    The class keeps the name it had when a bit-packed popcount kernel
+    produced these counts; the BLAS product now does.
+    """
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_intersections_match_dense_dot(self, width):
@@ -63,25 +55,8 @@ class TestBitpack:
         left = rng.random((23, width)) < 0.4
         right = rng.random((17, width)) < 0.4
         expected = left.astype(np.int64) @ right.astype(np.int64).T
-        got = packed_intersections(pack_rows(left), pack_rows(right))
+        got = keyword_intersections(left, right)
         np.testing.assert_array_equal(got, expected)
-
-    def test_intersections_word_count_mismatch(self):
-        with pytest.raises(ValueError, match="word-count mismatch"):
-            packed_intersections(
-                pack_rows(np.ones((2, 64), dtype=bool)),
-                pack_rows(np.ones((2, 65), dtype=bool)),
-            )
-
-    def test_packed_matrix_counts(self):
-        rng = np.random.default_rng(5)
-        bits = rng.random((12, 70)) < 0.3
-        packed = PackedMatrix(bits)
-        np.testing.assert_array_equal(packed.counts, bits.sum(axis=1))
-        np.testing.assert_array_equal(
-            packed.intersections(packed),
-            bits.astype(np.int64) @ bits.astype(np.int64).T,
-        )
 
 
 class TestJaccardDifferential:
@@ -90,51 +65,110 @@ class TestJaccardDifferential:
     def test_square_bit_identical(self, width, density):
         rng = np.random.default_rng(width * 7 + int(density * 10))
         matrix = rng.random((37, width)) < density
-        packed = pairwise_jaccard(matrix, kernel="packed")
-        dense = pairwise_jaccard(matrix, kernel="dense")
-        assert (packed == dense).all()
+        got = pairwise_jaccard(matrix)
+        assert (got == scalar_jaccard(matrix, matrix)).all()
+        assert (got == got.T).all()
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_cross_bit_identical(self, width):
         rng = np.random.default_rng(width)
         left = rng.random((19, width)) < 0.3
         right = rng.random((11, width)) < 0.3
-        packed = pairwise_jaccard(left, right, kernel="packed")
-        dense = pairwise_jaccard(left, right, kernel="dense")
-        assert packed.shape == (19, 11)
-        assert (packed == dense).all()
+        got = pairwise_jaccard(left, right)
+        assert got.shape == (19, 11)
+        assert (got == scalar_jaccard(left, right)).all()
 
     def test_all_zero_rows(self):
-        """Empty vectors: union 0 pairs must come out 0.0 on both kernels."""
+        """Empty vectors: union 0 pairs come out 0.0; full rows are 1 - |u|/R
+        from everything else."""
         rng = np.random.default_rng(2)
         matrix = np.zeros((6, 70), dtype=bool)
         matrix[2] = rng.random(70) < 0.5
-        packed = pairwise_jaccard(matrix, kernel="packed")
-        dense = pairwise_jaccard(matrix, kernel="dense")
-        assert (packed == dense).all()
-        assert packed[0, 1] == 0.0  # empty-vs-empty is identical
-        assert packed[0, 2] == 1.0  # empty-vs-nonempty is maximally distant
+        matrix[4] = True
+        got = pairwise_jaccard(matrix)
+        assert (got == scalar_jaccard(matrix, matrix)).all()
+        assert got[0, 1] == 0.0  # empty-vs-empty is identical
+        assert got[0, 2] == 1.0  # empty-vs-nonempty is maximally distant
+        assert got[2, 4] == 1.0 - matrix[2].sum() / 70
 
     def test_spans_multiple_blocks(self):
-        """Exercise the blockwise loop (> _BLOCK_ROWS rows) on both kernels."""
+        """More rows than one block: square and cross blocks still exact."""
         rng = np.random.default_rng(3)
-        matrix = rng.random((600, 40)) < 0.2
-        packed = pairwise_jaccard(matrix, kernel="packed")
-        dense = pairwise_jaccard(matrix, kernel="dense")
-        assert (packed == dense).all()
-        assert (np.diag(packed) == 0.0).all()
+        n = distance._BLOCK_ROWS + 88
+        matrix = rng.random((n, 40)) < 0.2
+        got = pairwise_jaccard(matrix)
+        # Every row (both blocks) against a few columns; symmetry covers
+        # the transposed strip.
+        assert (got[:, -9:] == scalar_jaccard(matrix, matrix[-9:])).all()
+        assert (got == got.T).all()
+        assert (np.diag(got) == 0.0).all()
+        cross = pairwise_jaccard(matrix, matrix[:9])
+        assert (cross == got[:, :9]).all()
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            pairwise_jaccard(np.ones((2, 64), dtype=bool), np.ones((2, 65), dtype=bool))
+
+    @given(
+        n=st.integers(1, 30),
+        m=st.integers(1, 30),
+        width=st.integers(0, 140),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_property_matches_scalar(self, n, m, width, density, seed):
+        rng = np.random.default_rng(seed)
+        left = rng.random((n, width)) < density
+        right = rng.random((m, width)) < density
+        assert (pairwise_jaccard(left, right) == scalar_jaccard(left, right)).all()
+
+
+class TestBlasThreadPin:
+    """``import repro`` defaults OpenBLAS to one thread: after a GEMM, a
+    second OpenBLAS thread spins and costs the ingest path CPU."""
+
+    @staticmethod
+    def _run(code: str, preset: "str | None") -> str:
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    def test_unset_defaults_to_one(self):
+        code = "import os, repro; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self._run(code, None) == "1"
+
+    def test_preset_value_left_alone(self):
+        code = "import os, repro; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self._run(code, "3") == "3"
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/self/task"
+    )
+    def test_matmul_runs_on_one_thread(self):
+        code = (
+            "import os, repro, numpy as np; a = np.ones((600, 600)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')))"
+        )
+        assert self._run(code, None) == "1"
 
 
 class TestKernelConfig:
     def test_default_is_fastest(self):
-        assert perf_config.get_kernel("jaccard") == "packed"
         assert perf_config.get_kernel("lsap") == "vectorized"
 
     def test_set_and_reset(self):
-        perf_config.set_kernel("jaccard", "dense")
-        assert perf_config.get_kernel("jaccard") == "dense"
+        perf_config.set_kernel("lsap", "reference")
+        assert perf_config.get_kernel("lsap") == "reference"
         perf_config.reset_kernels()
-        assert perf_config.get_kernel("jaccard") == "packed"
+        assert perf_config.get_kernel("lsap") == "vectorized"
 
     def test_use_kernel_restores(self):
         with perf_config.use_kernel("lsap", "reference"):
@@ -142,21 +176,21 @@ class TestKernelConfig:
         assert perf_config.get_kernel("lsap") == "vectorized"
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JACCARD_KERNEL", "dense")
-        assert perf_config.get_kernel("jaccard") == "dense"
-        perf_config.set_kernel("jaccard", "packed")  # explicit beats env
-        assert perf_config.get_kernel("jaccard") == "packed"
+        monkeypatch.setenv("REPRO_LSAP_KERNEL", "reference")
+        assert perf_config.get_kernel("lsap") == "reference"
+        perf_config.set_kernel("lsap", "vectorized")  # explicit beats env
+        assert perf_config.get_kernel("lsap") == "vectorized"
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown jaccard kernel"):
-            perf_config.set_kernel("jaccard", "blazing")
+        with pytest.raises(ValueError, match="unknown lsap kernel"):
+            perf_config.set_kernel("lsap", "blazing")
         with pytest.raises(KeyError, match="unknown kernel domain"):
-            perf_config.get_kernel("sorting")
+            perf_config.get_kernel("jaccard")
 
     def test_resolve_prefers_explicit(self):
-        perf_config.set_kernel("jaccard", "dense")
-        assert perf_config.resolve_kernel("jaccard", "packed") == "packed"
-        assert perf_config.resolve_kernel("jaccard", None) == "dense"
+        perf_config.set_kernel("lsap", "reference")
+        assert perf_config.resolve_kernel("lsap", "vectorized") == "vectorized"
+        assert perf_config.resolve_kernel("lsap", None) == "reference"
 
 
 class TestHungarianDifferential:

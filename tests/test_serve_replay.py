@@ -247,9 +247,7 @@ class TestBitIdentity:
 
     def test_differential_panel_agrees(self, recorded):
         reports = replay_differential(load_journal(recorded), make_pool())
-        assert [r.variant for r in reports] == [
-            "in-loop", "jaccard-dense", "lsap-reference",
-        ]
+        assert [r.variant for r in reports] == ["in-loop", "lsap-reference"]
         for report in reports:
             assert report.ok and report.state_verified, report.to_dict()
 
@@ -712,7 +710,7 @@ class TestArrivalReplay:
 class TestDefaultVariants:
     def test_panel_composition(self):
         labels = [v.label for v in default_variants()]
-        assert labels == ["in-loop", "jaccard-dense", "lsap-reference"]
+        assert labels == ["in-loop", "lsap-reference"]
         pinned = default_variants(pin_tier="hta-gre-rel")[-1]
         assert pinned.label == "pin:hta-gre-rel"
         assert pinned.pinned_solver == "hta-gre-rel"
