@@ -128,11 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--batch-delay-ms", type=float, default=50.0,
                          help="solve micro-batch coalescing window")
     p_serve.add_argument("--max-batch-size", type=int, default=64)
-    p_serve.add_argument("--uvloop", choices=["auto", "on", "off"],
-                         default="auto",
-                         help="event-loop policy: auto uses uvloop when "
-                              "installed, on requires it, off keeps the "
-                              "stdlib loop")
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--request-deadline", type=float, default=2.0,
                          help="seconds a /complete may wait on a solve before "
@@ -211,11 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          default="off",
                          help="bandit policy over solve-time alpha/beta: "
                               "off keeps the estimator mean bit-identically")
-    p_serve.add_argument("--tier-policy", choices=["streak", "bandit"],
-                         default="streak",
-                         help="solver-ladder tier selection: the fixed "
-                              "breach/recovery streaks (streak) or the "
-                              "contextual tier bandit (bandit)")
     p_serve.set_defaults(handler=_cmd_serve)
 
     p_replay = sub.add_parser(
@@ -226,15 +216,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                           "`repro serve --journal` (or a "
                                           "routing journal from a --router "
                                           "run, detected automatically)")
-    p_replay.add_argument("--differential", action="store_true",
-                          help="replay under every configuration that must "
-                               "agree (default and oracle kernels) and "
-                               "report each variant's first divergence")
-    p_replay.add_argument("--pin-tier", default=None, metavar="SOLVER",
-                          help="with --differential, also replay with every "
-                               "solve pinned to this degradation-ladder tier "
-                               "(a diagnostic; divergence is reported but "
-                               "not fatal)")
+    p_replay.add_argument("--pin-tier", default=None, choices=solver_names(),
+                          help="also replay with every solve pinned to this "
+                               "degradation-ladder tier (a diagnostic; its "
+                               "divergence is reported but not fatal)")
     p_replay.set_defaults(handler=_cmd_replay)
 
     p_trace = sub.add_parser(
@@ -370,9 +355,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .crowd.service import ServiceConfig
     from .data import CrowdFlowerConfig, generate_crowdflower_corpus
     from .serve import FaultPlan, ResilienceConfig, ServeConfig, run_daemon
-    from .serve.protocol import install_uvloop
-
-    install_uvloop(args.uvloop)
 
     if (args.shard_index is None) != (args.shard_count is None):
         print("--shard-index and --shard-count go together", file=sys.stderr)
@@ -450,7 +432,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shard_id=args.shard_index,
         estimator=args.estimator,
         bandit=args.bandit,
-        tier_policy=args.tier_policy,
     )
     if args.router:
         return _serve_router(args, corpus_spec, config)
@@ -533,10 +514,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     from .serve.replay import (
         ReplayError,
-        default_variants,
+        ReplayVariant,
         load_journal,
         pool_from_corpus_spec,
-        replay_differential,
         replay_journal,
     )
 
@@ -562,13 +542,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     except ReplayError as exc:
         print(f"cannot replay {path}: {exc}", file=sys.stderr)
         return 2
+    variants = [ReplayVariant()]
+    if args.pin_tier is not None:
+        variants.append(
+            ReplayVariant(f"pin:{args.pin_tier}", pinned_solver=args.pin_tier)
+        )
     try:
-        if args.differential:
-            reports = replay_differential(
-                journal, pool, variants=default_variants(pin_tier=args.pin_tier)
-            )
-        else:
-            reports = [replay_journal(journal, pool)]
+        reports = [replay_journal(journal, pool, variant) for variant in variants]
     except ReplayError as exc:
         print(f"cannot replay {path}: {exc}", file=sys.stderr)
         return 2

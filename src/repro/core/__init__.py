@@ -11,11 +11,9 @@ from .adaptive import (
 from .assignment import Assignment
 from .bandit import (
     ESTIMATORS,
-    TIER_POLICIES,
     WEIGHT_POLICIES,
     MeanWeightPolicy,
     ThompsonWeightPolicy,
-    TierBandit,
     UCBWeightPolicy,
     build_adaptivity,
     make_estimator,
@@ -44,7 +42,6 @@ from .worker import MotivationWeights, Worker, WorkerPool
 
 __all__ = [
     "ESTIMATORS",
-    "TIER_POLICIES",
     "WEIGHT_POLICIES",
     "AdaptiveTrace",
     "Assignment",
@@ -52,7 +49,6 @@ __all__ = [
     "DistanceSpec",
     "MeanWeightPolicy",
     "ThompsonWeightPolicy",
-    "TierBandit",
     "UCBWeightPolicy",
     "GainObservation",
     "HTAInstance",

@@ -1,23 +1,18 @@
 """Bandit policies over the motivation-estimation seam (PAPERS.md: Zhang
 et al. frame adaptive task assignment as exploration/exploitation).
 
-Two bandit surfaces live here:
+Weight policies decide the solve-time ``(alpha, beta)`` for each worker
+from an estimator's posterior instead of committing to its mean.
+:class:`ThompsonWeightPolicy` draws alpha from the Beta posterior (wiring
+the previously unreachable
+:meth:`~repro.core.estimators.BayesianMotivationEstimator.sample_weights`
+into the serving path); :class:`UCBWeightPolicy` adds an optimism bonus
+toward the under-observed diversity side that shrinks as evidence
+accumulates.  ``None`` / "off" keeps the paper's mean behaviour
+bit-identically (the policy is simply never consulted).
 
-* **Weight policies** decide the solve-time ``(alpha, beta)`` for each
-  worker from an estimator's posterior instead of committing to its mean.
-  :class:`ThompsonWeightPolicy` draws alpha from the Beta posterior
-  (wiring the previously unreachable
-  :meth:`~repro.core.estimators.BayesianMotivationEstimator.sample_weights`
-  into the serving path); :class:`UCBWeightPolicy` adds an optimism bonus
-  toward the under-observed diversity side that shrinks as evidence
-  accumulates.  ``None`` / "off" keeps the paper's mean behaviour
-  bit-identically (the policy is simply never consulted).
-
-* :class:`TierBandit` is a contextual UCB1 over the solver degradation
-  ladder: arms are ladder tiers, contexts are load regimes, rewards fold
-  observed solve CPU time against the solve budget and adjudicated
-  quality.  :class:`repro.serve.resilience.DegradationController` remains
-  the fixed-policy special case (and the default).
+The solver tier is not a bandit decision: the streak
+:class:`repro.serve.resilience.DegradationController` walks the ladder.
 
 Weight policies are duck-typed like estimators: anything with
 ``weights_for(estimator, worker_id)`` plugs into
@@ -43,8 +38,6 @@ from .worker import MotivationWeights
 ESTIMATORS = ("plain", "bayes")
 #: Valid ``--bandit`` weight-policy names.
 WEIGHT_POLICIES = ("off", "thompson", "ucb")
-#: Valid ``--tier-policy`` names (the controllers live in repro.serve).
-TIER_POLICIES = ("streak", "bandit")
 
 #: Mixed into the service seed so the Thompson stream is independent of the
 #: service's own shortlist/seed stream while staying reproducible from the
@@ -271,81 +264,3 @@ class UCBWeightPolicy:
             "workers": len(self._pulls),
         }
 
-
-class TierBandit:
-    """Contextual UCB1 over solver ladder tiers.
-
-    Arms are ladder positions; contexts are discrete load regimes (the
-    caller buckets them — e.g. "under budget" vs "pressured").  Rewards
-    must land in [0, 1] (the caller folds solve CPU time and adjudicated
-    quality; see :class:`repro.serve.resilience.BanditTierController`).
-    Deterministic: unplayed arms are tried lowest-index first, ties break
-    to the lowest index, and there is no randomization.
-    """
-
-    def __init__(self, n_arms: int, n_contexts: int = 2, c: float = 0.3):
-        if n_arms < 1:
-            raise InvalidInstanceError(f"need at least one arm, got {n_arms}")
-        if n_contexts < 1:
-            raise InvalidInstanceError(
-                f"need at least one context, got {n_contexts}"
-            )
-        if c < 0.0:
-            raise InvalidInstanceError(f"exploration constant must be >= 0, got {c}")
-        self.n_arms = n_arms
-        self.n_contexts = n_contexts
-        self._c = c
-        self._counts = [[0] * n_arms for _ in range(n_contexts)]
-        self._sums = [[0.0] * n_arms for _ in range(n_contexts)]
-
-    def select(self, context: int) -> int:
-        """The arm to play next in ``context`` (pure function of state)."""
-        counts = self._counts[context]
-        sums = self._sums[context]
-        for arm in range(self.n_arms):
-            if counts[arm] == 0:
-                return arm
-        total = sum(counts)
-        best_arm, best_score = 0, -math.inf
-        for arm in range(self.n_arms):
-            mean = sums[arm] / counts[arm]
-            score = mean + self._c * math.sqrt(math.log(total) / counts[arm])
-            if score > best_score + 1e-12:
-                best_arm, best_score = arm, score
-        return best_arm
-
-    def update(self, context: int, arm: int, reward: float) -> None:
-        """Fold one observed reward (clipped to [0, 1]) into ``arm``."""
-        reward = min(1.0, max(0.0, float(reward)))
-        self._counts[context][arm] += 1
-        self._sums[context][arm] += reward
-
-    def counts(self, context: int) -> list[int]:
-        return list(self._counts[context])
-
-    def means(self, context: int) -> list[float]:
-        return [
-            s / n if n else 0.0
-            for s, n in zip(self._sums[context], self._counts[context])
-        ]
-
-    def state_dict(self) -> dict:
-        return {
-            "c": self._c,
-            "counts": [list(row) for row in self._counts],
-            "sums": [list(row) for row in self._sums],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        counts = state["counts"]
-        sums = state["sums"]
-        if len(counts) != self.n_contexts or any(
-            len(row) != self.n_arms for row in counts
-        ):
-            raise InvalidInstanceError(
-                "tier bandit state shape mismatch: expected "
-                f"{self.n_contexts}x{self.n_arms}"
-            )
-        self._c = float(state["c"])
-        self._counts = [[int(v) for v in row] for row in counts]
-        self._sums = [[float(v) for v in row] for row in sums]

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInstanceError
-from ..perf.config import resolve_kernel
 from ..perf.lsap_kernels import hungarian_min_rect
 
 #: Brute force explores n! permutations; 9! = 362,880 keeps tests fast.
@@ -81,27 +80,23 @@ def _value(profit: np.ndarray, row_to_col: np.ndarray) -> float:
     return float(profit[np.arange(len(row_to_col)), row_to_col].sum())
 
 
-def hungarian(profit: np.ndarray, kernel: str | None = None) -> LSAPSolution:
+def hungarian(profit: np.ndarray) -> LSAPSolution:
     """Optimal maximization LSAP via shortest augmenting paths.
 
     Runs the textbook Hungarian algorithm with row/column potentials on the
     negated matrix (max-profit == min-cost), one augmentation per row, so a
-    rectangle costs ``O(n_rows^2 n_cols)``.  The default ``"vectorized"``
-    kernel (:mod:`repro.perf.lsap_kernels`) keeps incremental search state;
-    the ``"reference"`` kernel rebuilds it with index arrays and serves as
-    the differential oracle.  Both break ties identically, so they return
-    the same assignment on every input.
+    rectangle costs ``O(n_rows^2 n_cols)``.  The search is
+    :func:`~repro.perf.lsap_kernels.hungarian_min_rect`, which keeps
+    incremental search state; :func:`_hungarian_min_reference` rebuilds it
+    with index arrays and is the oracle the tests and
+    ``benchmarks/bench_kernels.py`` hold it to.  Both break ties
+    identically, so they return the same assignment on every input.
 
     >>> hungarian(np.array([[4., 1.], [2., 3.]])).value
     7.0
     """
     matrix = _check_profit(profit)
-    cost = -matrix
-    resolved = resolve_kernel("lsap", kernel)
-    if resolved == "vectorized":
-        row_to_col = hungarian_min_rect(cost)
-    else:
-        row_to_col = _hungarian_min_reference(np.ascontiguousarray(cost))
+    row_to_col = hungarian_min_rect(-matrix)
     return LSAPSolution(row_to_col, _value(matrix, row_to_col))
 
 

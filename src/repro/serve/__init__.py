@@ -45,10 +45,8 @@ from .replay import (
     ReplayError,
     ReplayReport,
     ReplayVariant,
-    default_variants,
     load_journal,
     pool_fingerprint,
-    replay_differential,
     replay_journal,
 )
 from .resilience import (
@@ -119,11 +117,9 @@ __all__ = [
     "SpanMetrics",
     "Trace",
     "TraceRecorder",
-    "default_variants",
     "degradation_ladder",
     "load_journal",
     "pool_fingerprint",
-    "replay_differential",
     "replay_journal",
     "run_daemon",
     "run_loadgen",

@@ -60,7 +60,6 @@ from .resilience import (
     FaultPlan,
     ResilienceConfig,
     degradation_ladder,
-    make_tier_controller,
 )
 from .tracing import SolveContext, SpanMetrics, TraceRecorder
 
@@ -132,10 +131,6 @@ class ServeConfig:
     #: mean, bit-identical to the seed behaviour), ``thompson``, or ``ucb``
     #: (see :mod:`repro.core.bandit`).
     bandit: str = "off"
-    #: Tier selection: ``streak`` (the PR-2 breach/recovery controller) or
-    #: ``bandit`` (contextual UCB over the ladder; see
-    #: :class:`~repro.serve.resilience.BanditTierController`).
-    tier_policy: str = "streak"
 
 
 class AssignmentDaemon:
@@ -176,8 +171,7 @@ class AssignmentDaemon:
         self._displayed_ever: set[str] = set()
         self._server: asyncio.AbstractServer | None = None
         self._started_at = time.monotonic()
-        self.degradation = make_tier_controller(
-            self.config.tier_policy,
+        self.degradation = DegradationController(
             degradation_ladder(self.config.strategy),
             self.config.resilience,
             self.registry,
@@ -296,7 +290,6 @@ class AssignmentDaemon:
                     "adaptivity": {
                         "estimator": self.config.estimator,
                         "bandit": self.config.bandit,
-                        "tier_policy": self.config.tier_policy,
                     },
                     "recorded_with": {
                         "fault_plan": (
@@ -375,7 +368,7 @@ class AssignmentDaemon:
         Runs the prepare → solve → commit protocol with the solver on a
         derived per-solve seed, the same protocol ``repro replay`` drives,
         so a recorded journal replays bit-identically
-        (``repro replay --differential`` proves it per run).
+        (``repro replay`` proves it per run).
         """
         tier = self.degradation.strategy
         ctx.attrs["tier"] = tier
@@ -441,22 +434,9 @@ class AssignmentDaemon:
             self._recorder.record_tick()
 
     def _adaptivity_tick(self) -> None:
-        """Post-batch bandit bookkeeping: metrics and the quality reward feed."""
+        """Post-batch bandit bookkeeping: the weight policy's draw gauge."""
         if self._bandit_draws is not None:
             self._bandit_draws.set(self.service.weight_policy.draws)
-        if (
-            self.quality is not None
-            and self.quality.active
-            and hasattr(self.degradation, "observe_quality")
-        ):
-            # Adjudicated quality as tier-bandit reward: the mean posterior
-            # accuracy over every tracked worker this tick.
-            workers = self.quality.reputation.worker_ids()
-            if workers:
-                mean = sum(
-                    self.quality.reputation.mean(w) for w in workers
-                ) / len(workers)
-                self.degradation.observe_quality(mean)
 
     # -- snapshot / restore --------------------------------------------------
 
@@ -689,7 +669,6 @@ class AssignmentDaemon:
                     if self.service.weight_policy is None
                     else self.service.weight_policy.describe()
                 ),
-                "tier_policy": self.config.tier_policy,
             },
         }
         if self.fault is not None:

@@ -46,7 +46,7 @@ from ..crowd.behavior import (
 from ..quality.gold import _digest, truth_label
 from ..rng import ensure_rng
 from .metrics import Histogram
-from .protocol import HttpClient, install_uvloop
+from .protocol import HttpClient
 
 
 @dataclass(frozen=True)
@@ -936,16 +936,6 @@ def main(argv: list[str] | None = None) -> int:
              "thompson requires --estimator bayes)",
     )
     parser.add_argument(
-        "--tier-policy", choices=["streak", "bandit"], default="streak",
-        help="spawned daemon's solver-tier selection policy "
-             "(--spawn-server only)",
-    )
-    parser.add_argument(
-        "--uvloop", choices=["auto", "on", "off"], default="auto",
-        help="event-loop policy: auto uses uvloop when installed, "
-             "on requires it, off keeps the stdlib loop",
-    )
-    parser.add_argument(
         "--shards", type=int, default=0,
         help="with --spawn-server: spawn an N-shard cluster behind a "
              "router on ephemeral ports and drive the router "
@@ -962,7 +952,6 @@ def main(argv: list[str] | None = None) -> int:
              "JSONL file (verify with `repro replay`)",
     )
     args = parser.parse_args(argv)
-    install_uvloop(args.uvloop)
     config = LoadgenConfig(
         host=args.host,
         port=args.port,
@@ -1000,11 +989,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.spawn_server:
         serve_config = None
         quality_wanted = args.gold_rate > 0 or args.redundancy > 1
-        adaptivity_wanted = (
-            args.estimator != "plain"
-            or args.bandit != "off"
-            or args.tier_policy != "streak"
-        )
+        adaptivity_wanted = args.estimator != "plain" or args.bandit != "off"
         if (
             args.trace_file
             or args.trace_sample_rate > 0
@@ -1049,7 +1034,6 @@ def main(argv: list[str] | None = None) -> int:
                 quality=quality,
                 estimator=args.estimator,
                 bandit=args.bandit,
-                tier_policy=args.tier_policy,
             )
         if args.shards > 0:
             result, snapshot = asyncio.run(

@@ -19,31 +19,6 @@ from dataclasses import dataclass, field
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 1024 * 1024
 
-
-def install_uvloop(mode: str = "auto") -> bool:
-    """Install the uvloop event-loop policy, if asked and available.
-
-    ``"auto"`` uses uvloop when importable and silently keeps the stdlib
-    loop otherwise (the container may not ship it); ``"on"`` requires it
-    (raises ``RuntimeError`` when missing); ``"off"`` is a no-op.  Returns
-    whether uvloop is now the active policy.  Call before
-    ``asyncio.run`` — an already-running loop is not replaced.
-    """
-    if mode not in ("auto", "on", "off"):
-        raise ValueError(f"uvloop mode must be auto/on/off, got {mode!r}")
-    if mode == "off":
-        return False
-    try:
-        import uvloop
-    except ImportError:
-        if mode == "on":
-            raise RuntimeError(
-                "uvloop requested with mode='on' but it is not installed"
-            ) from None
-        return False
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return True
-
 _REASONS = {
     200: "OK",
     400: "Bad Request",

@@ -33,21 +33,17 @@ again:
   seq, the offending worker, and the trace ids of the requests that rode
   that solve.
 
-* :func:`replay_differential` — replays one journal under multiple
-  configurations (:class:`ReplayVariant`): the default kernels, the
-  reference vs vectorized LSAP kernels, and optionally a pinned
-  degradation-ladder tier.  Because live serving
-  funnels every solve through the same
-  :func:`~repro.crowd.service.execute_prepared` computation, all unpinned
-  variants must agree bit-for-bit; a pinned tier is a diagnostic that shows
-  *where* outcomes start depending on the ladder position.
+* :class:`ReplayVariant` — a replay can pin every solve to one
+  degradation-ladder tier instead of the recorded one (``repro replay
+  --pin-tier``).  A pinned tier is a diagnostic that shows *where*
+  outcomes start depending on the ladder position; the unpinned in-loop
+  replay is the one that must match.
 
 See docs/SERVING.md ("Record/replay") for the journal schema and CLI.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 from collections.abc import Iterable, Sequence
@@ -68,7 +64,6 @@ from ..crowd.service import (
 )
 from ..core.solvers import get_solver
 from ..errors import ReproError
-from ..perf.config import use_kernel
 
 #: Bump on any change to the journal line format or to what a replay of the
 #: same events produces; replay refuses mismatches.  Version 2 dropped the
@@ -377,7 +372,6 @@ class Journal:
         return {
             "estimator": spec.get("estimator", "plain"),
             "bandit": spec.get("bandit", "off"),
-            "tier_policy": spec.get("tier_policy", "streak"),
         }
 
 
@@ -465,13 +459,11 @@ def pool_from_corpus_spec(spec: dict) -> TaskPool:
 class ReplayVariant:
     """One configuration to replay a journal under.
 
-    ``lsap_kernel`` selects the oracle LSAP kernel; ``pinned_solver`` forces
-    every solve (and non-adaptive register) onto one ladder tier
-    regardless of what was recorded.
+    ``pinned_solver`` forces every solve (and non-adaptive register) onto
+    one ladder tier regardless of what was recorded.
     """
 
     label: str = "in-loop"
-    lsap_kernel: "str | None" = None
     pinned_solver: "str | None" = None
 
 
@@ -616,15 +608,12 @@ def replay_journal(
     if quality is not None:
         # Same seam the daemon wires: reputation scales the relevance term.
         state.service.set_reputation_provider(quality.reputation.mean)
-    with contextlib.ExitStack() as stack:
-        if variant.lsap_kernel is not None:
-            stack.enter_context(use_kernel("lsap", variant.lsap_kernel))
-        for event in journal.events:
-            divergence = _apply_event(event, state, variant, report)
-            if divergence is not None:
-                report.divergence = divergence
-                return report
-            report.events_applied += 1
+    for event in journal.events:
+        divergence = _apply_event(event, state, variant, report)
+        if divergence is not None:
+            report.divergence = divergence
+            return report
+        report.events_applied += 1
     return report
 
 
@@ -1024,34 +1013,3 @@ def _apply_commit(
             )
         _check_display(recorded_events[worker_id], state, report)
     return None
-
-
-def default_variants(
-    pin_tier: "str | None" = None,
-) -> list[ReplayVariant]:
-    """The differential panel: every configuration that must agree."""
-    variants = [
-        ReplayVariant("in-loop"),
-        ReplayVariant("lsap-reference", lsap_kernel="reference"),
-    ]
-    if pin_tier is not None:
-        variants.append(ReplayVariant(f"pin:{pin_tier}", pinned_solver=pin_tier))
-    return variants
-
-
-def replay_differential(
-    journal: Journal,
-    pool: TaskPool,
-    variants: "Sequence[ReplayVariant] | None" = None,
-) -> list[ReplayReport]:
-    """Replay one journal under every variant; one report each.
-
-    Each variant replays against a fresh service, so reports are
-    independent; the caller decides which divergences are fatal (a pinned
-    tier diverging from a run recorded on a different tier is expected —
-    that's the diagnostic).
-    """
-    return [
-        replay_journal(journal, pool, variant)
-        for variant in (variants if variants is not None else default_variants())
-    ]

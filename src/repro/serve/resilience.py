@@ -36,7 +36,6 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..core.bandit import TierBandit
 from ..core.solvers import get_solver
 from ..rng import ensure_rng
 from .metrics import MetricsRegistry
@@ -202,167 +201,6 @@ class DegradationController:
             "solve_budget_seconds": self._config.solve_budget,
             "request_deadline_seconds": self._config.request_deadline,
         }
-
-
-class BanditTierController:
-    """Tier selection as a contextual bandit instead of fixed streaks.
-
-    Same interface surface as :class:`DegradationController` (the daemon
-    holds either one behind ``self.degradation``), but tier choice comes
-    from a :class:`~repro.core.bandit.TierBandit`: arms are ladder rungs,
-    the context is the current load regime (0 = last solve under budget,
-    1 = pressured), and the reward for playing a tier folds
-
-    * **cost** — ``min(1, solve_budget / seconds)``, so an under-budget
-      solve scores 1.0 and an over-budget solve scores the fraction of
-      budget it respected;
-    * **solution quality** — a per-rung discount mirroring the ladder's
-      approximation guarantees (1/4 → 1/8 → unbounded greedy), so the
-      bandit only sheds quality when time savings pay for it;
-    * **adjudicated quality** — an EWMA over the quality layer's observed
-      accuracy (fed via :meth:`observe_quality` when quality control is
-      on), which drags every arm's reward down when answer quality sags.
-
-    Deadline misses and solve failures score 0 for the active arm.  The
-    streak controller remains the default (``--tier-policy streak``) and
-    its chaos trajectories are untouched; this controller is opt-in via
-    ``--tier-policy bandit``.
-    """
-
-    #: Per-rung quality discounts for ladders deeper than the canonical 3.
-    _QUALITY_STEP = 0.75
-
-    def __init__(
-        self,
-        ladder: Sequence[str],
-        config: ResilienceConfig,
-        registry: MetricsRegistry,
-        exploration: float = 0.3,
-        quality_smoothing: float = 0.2,
-    ):
-        if not ladder:
-            raise ValueError("the degradation ladder cannot be empty")
-        self._ladder = [(name, get_solver(name)) for name in ladder]
-        self._config = config
-        self._bandit = TierBandit(n_arms=len(self._ladder), n_contexts=2,
-                                  c=exploration)
-        self._tier = 0
-        self._context = 0
-        self._quality_smoothing = quality_smoothing
-        self._quality_ewma = 1.0
-        # Tier 0 keeps full reward; each cheaper rung gives up a fixed share.
-        self._tier_quality = [
-            self._QUALITY_STEP ** i for i in range(len(self._ladder))
-        ]
-        self._tier_gauge = registry.gauge(
-            "serve_degradation_tier",
-            "Active degradation tier (0 = full quality)",
-        )
-        self._pulls = registry.labeled_counter(
-            "serve_bandit_tier_pulls_total",
-            "Solves played per ladder tier by the tier bandit",
-            ("tier",),
-        )
-        self._rewards = registry.gauge(
-            "serve_bandit_tier_reward",
-            "Reward of the tier bandit's most recent observation",
-        )
-        self._switches = registry.counter(
-            "serve_bandit_tier_switches_total",
-            "Tier changes decided by the tier bandit",
-        )
-
-    @property
-    def tier(self) -> int:
-        return self._tier
-
-    @property
-    def strategy(self) -> str:
-        """Name of the solver serving the active tier."""
-        return self._ladder[self._tier][0]
-
-    @property
-    def ladder(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._ladder)
-
-    def solver(self):
-        """The :class:`~repro.core.solvers.base.Solver` of the active tier."""
-        return self._ladder[self._tier][1]
-
-    def observe_solve(self, seconds: float) -> None:
-        """Feed one solve's wall time in as the active arm's reward."""
-        cost = 1.0 if seconds <= 0 else min(
-            1.0, self._config.solve_budget / seconds
-        )
-        reward = cost * self._tier_quality[self._tier] * self._quality_ewma
-        self._observe(reward, pressured=seconds > self._config.solve_budget)
-
-    def observe_deadline_miss(self) -> None:
-        """A request blew its deadline waiting on a solve — reward 0."""
-        self._observe(0.0, pressured=True)
-
-    def observe_solve_failure(self) -> None:
-        """A batched solve raised — reward 0."""
-        self._observe(0.0, pressured=True)
-
-    def observe_quality(self, score: float) -> None:
-        """Fold an adjudicated-quality signal (mean accuracy in [0, 1])."""
-        score = min(1.0, max(0.0, float(score)))
-        s = self._quality_smoothing
-        self._quality_ewma = (1.0 - s) * self._quality_ewma + s * score
-
-    def _observe(self, reward: float, pressured: bool) -> None:
-        self._pulls.labels(tier=str(self._tier)).inc()
-        self._rewards.set(reward)
-        self._bandit.update(self._context, self._tier, reward)
-        self._context = 1 if pressured else 0
-        chosen = self._bandit.select(self._context)
-        if chosen != self._tier:
-            self._switches.inc()
-            self._tier = chosen
-            self._tier_gauge.set(self._tier)
-
-    def describe(self) -> dict:
-        """JSON-friendly state for ``/healthz``."""
-        return {
-            "tier": self._tier,
-            "strategy": self.strategy,
-            "ladder": list(self.ladder),
-            "policy": "bandit",
-            "context": self._context,
-            "quality_ewma": self._quality_ewma,
-            "pulls": {
-                "calm": self._bandit.counts(0),
-                "pressured": self._bandit.counts(1),
-            },
-            "reward_means": {
-                "calm": self._bandit.means(0),
-                "pressured": self._bandit.means(1),
-            },
-            "solve_budget_seconds": self._config.solve_budget,
-            "request_deadline_seconds": self._config.request_deadline,
-        }
-
-
-def make_tier_controller(
-    policy: str,
-    ladder: Sequence[str],
-    config: ResilienceConfig,
-    registry: MetricsRegistry,
-):
-    """Build the tier controller named by ``--tier-policy``.
-
-    ``streak`` is the default fixed policy (exact PR-2 behaviour, chaos
-    trajectories pinned by tests); ``bandit`` opts into
-    :class:`BanditTierController`.
-    """
-    if policy == "streak":
-        return DegradationController(ladder, config, registry)
-    if policy == "bandit":
-        return BanditTierController(ladder, config, registry)
-    raise ValueError(
-        f"unknown tier policy {policy!r}; expected 'streak' or 'bandit'"
-    )
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,9 @@
-"""Unit tests for the bandit layer (:mod:`repro.core.bandit` and the
-tier-bandit controller in :mod:`repro.serve.resilience`).
+"""Unit tests for the bandit layer (:mod:`repro.core.bandit`).
 
-The contract under test: the default configuration (mean weights, streak
-tier policy) never consults a bandit, and every bandit that does run is
-reconstructible — Thompson's draw stream from a seed, UCB from pure
-state, the tier bandit from its counts — so journals and snapshots stay
-bit-identical.
+The contract under test: the default configuration (mean weights) never
+consults a bandit, and every bandit that does run is reconstructible —
+Thompson's draw stream from a seed, UCB from pure state — so journals and
+snapshots stay bit-identical.
 """
 
 import json
@@ -16,11 +14,9 @@ import pytest
 from repro.core.adaptive import GainObservation, MotivationEstimator
 from repro.core.bandit import (
     ESTIMATORS,
-    TIER_POLICIES,
     WEIGHT_POLICIES,
     MeanWeightPolicy,
     ThompsonWeightPolicy,
-    TierBandit,
     UCBWeightPolicy,
     build_adaptivity,
     make_estimator,
@@ -28,14 +24,6 @@ from repro.core.bandit import (
 )
 from repro.core.estimators import BayesianMotivationEstimator
 from repro.errors import InvalidInstanceError
-from repro.serve.metrics import MetricsRegistry
-from repro.serve.resilience import (
-    BanditTierController,
-    DegradationController,
-    ResilienceConfig,
-    degradation_ladder,
-    make_tier_controller,
-)
 
 
 def obs(div, rel):
@@ -66,7 +54,6 @@ class TestFactories:
     def test_name_tuples_cover_the_factories(self):
         assert set(ESTIMATORS) == {"plain", "bayes"}
         assert set(WEIGHT_POLICIES) == {"off", "thompson", "ucb"}
-        assert set(TIER_POLICIES) == {"streak", "bandit"}
 
     def test_build_adaptivity_defaults_to_the_paper(self):
         estimator, policy = build_adaptivity({})
@@ -204,149 +191,22 @@ class TestUCBWeightPolicy:
         )
 
 
-class TestTierBandit:
-    def test_validation(self):
-        with pytest.raises(InvalidInstanceError):
-            TierBandit(0)
-        with pytest.raises(InvalidInstanceError):
-            TierBandit(3, n_contexts=0)
-        with pytest.raises(InvalidInstanceError):
-            TierBandit(3, c=-1.0)
-
-    def test_plays_unplayed_arms_lowest_first(self):
-        bandit = TierBandit(3)
-        for expected in (0, 1, 2):
-            arm = bandit.select(0)
-            assert arm == expected
-            bandit.update(0, arm, 0.5)
-
-    def test_converges_to_the_best_arm(self):
-        bandit = TierBandit(3, c=0.1)
-        rewards = (0.2, 0.9, 0.4)
-        for _ in range(100):
-            arm = bandit.select(0)
-            bandit.update(0, arm, rewards[arm])
-        counts = bandit.counts(0)
-        assert counts[1] > counts[0] and counts[1] > counts[2]
-        assert bandit.select(0) == 1
-
-    def test_contexts_are_independent(self):
-        bandit = TierBandit(2, c=0.1)
-        for _ in range(50):
-            arm = bandit.select(0)
-            bandit.update(0, arm, 1.0 if arm == 0 else 0.0)
-            arm = bandit.select(1)
-            bandit.update(1, arm, 1.0 if arm == 1 else 0.0)
-        assert bandit.select(0) == 0
-        assert bandit.select(1) == 1
-
-    def test_update_clips_rewards(self):
-        bandit = TierBandit(1)
-        bandit.update(0, 0, 5.0)
-        bandit.update(0, 0, -5.0)
-        assert bandit.means(0) == [0.5]
-
-    def test_state_dict_round_trip(self):
-        source = TierBandit(3, c=0.2)
-        for i in range(10):
-            arm = source.select(i % 2)
-            source.update(i % 2, arm, (i % 4) / 3.0)
-        clone = TierBandit(3)
-        clone.load_state_dict(json.loads(json.dumps(source.state_dict())))
-        assert clone.state_dict() == source.state_dict()
-        assert clone.select(0) == source.select(0)
-        assert clone.select(1) == source.select(1)
-
-    def test_state_shape_mismatch_rejected(self):
-        state = TierBandit(3).state_dict()
-        with pytest.raises(InvalidInstanceError):
-            TierBandit(2).load_state_dict(state)
-
-
-class TestBanditTierController:
-    def _controller(self, **kwargs):
-        return BanditTierController(
-            degradation_ladder("hta-gre"),
-            ResilienceConfig(solve_budget=0.1),
-            MetricsRegistry(),
-            **kwargs,
-        )
-
-    def test_surface_parity_with_streak_controller(self):
-        # The daemon holds either controller behind self.degradation; the
-        # bandit one must answer the whole streak-controller surface.
-        bandit = self._controller()
-        for attr in (
-            "tier", "strategy", "ladder", "solver", "observe_solve",
-            "observe_deadline_miss", "observe_solve_failure", "describe",
-        ):
-            assert hasattr(bandit, attr), attr
-        assert bandit.tier == 0
-        assert bandit.strategy == bandit.ladder[0] == "hta-gre"
-        assert bandit.solver() is not None
-
-    def test_healthy_solves_settle_on_the_top_tier(self):
-        controller = self._controller(exploration=0.05)
-        for _ in range(60):
-            controller.observe_solve(0.01)  # all under budget
-        # Under-budget solves reward tier 0 highest (no quality discount),
-        # so after the forced exploration of each rung it returns home.
-        assert controller.tier == 0
-        describe = controller.describe()
-        assert describe["policy"] == "bandit"
-        assert sum(describe["pulls"]["calm"]) > 0
-
-    def test_failures_and_misses_score_zero(self):
-        controller = self._controller()
-        controller.observe_deadline_miss()
-        controller.observe_solve_failure()
-        describe = controller.describe()
-        total_pulls = sum(describe["pulls"]["calm"]) + sum(
-            describe["pulls"]["pressured"]
-        )
-        assert total_pulls == 2
-        assert describe["reward_means"]["calm"][0] == 0.0
-
-    def test_quality_signal_drags_rewards_down(self):
-        controller = self._controller()
-        assert controller.describe()["quality_ewma"] == 1.0
-        controller.observe_quality(0.0)
-        assert controller.describe()["quality_ewma"] < 1.0
-        controller.observe_quality(2.0)  # clipped to 1.0
-        assert controller.describe()["quality_ewma"] <= 1.0
-
-    def test_metrics_are_registered(self):
-        registry = MetricsRegistry()
-        controller = BanditTierController(
-            degradation_ladder("hta-gre"),
-            ResilienceConfig(solve_budget=0.1),
-            registry,
-        )
-        controller.observe_solve(0.01)
-        assert registry.get("serve_bandit_tier_switches_total") is not None
-        exposition = registry.render()
-        assert "serve_bandit_tier_pulls_total" in exposition
-        assert "serve_bandit_tier_reward" in exposition
-
-
 class TestMakeTierController:
+    """The solver tier is not a bandit decision: every daemon walks its
+    ladder with the breach/recovery-streak controller."""
+
     def test_streak_is_the_fixed_policy_default(self):
-        controller = make_tier_controller(
-            "streak", degradation_ladder("hta-gre"), ResilienceConfig(),
-            MetricsRegistry(),
-        )
-        assert isinstance(controller, DegradationController)
+        from repro.core import Task, TaskPool, Vocabulary
+        from repro.serve.app import AssignmentDaemon, ServeConfig
+        from repro.serve.resilience import DegradationController
 
-    def test_bandit_opts_in(self):
-        controller = make_tier_controller(
-            "bandit", degradation_ladder("hta-gre"), ResilienceConfig(),
-            MetricsRegistry(),
+        vocab = Vocabulary(["k0", "k1"])
+        pool = TaskPool(
+            [Task(f"t{i}", np.array([True, i % 2 == 0])) for i in range(4)],
+            vocab,
         )
-        assert isinstance(controller, BanditTierController)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            make_tier_controller(
-                "nope", degradation_ladder("hta-gre"), ResilienceConfig(),
-                MetricsRegistry(),
-            )
+        daemon = AssignmentDaemon(
+            pool, ServeConfig(seed=0, estimator="bayes", bandit="thompson")
+        )
+        assert type(daemon.degradation) is DegradationController
+        assert daemon.degradation.ladder == ("hta-gre", "greedy-relevance")

@@ -25,7 +25,7 @@ from repro.core import Task, TaskPool, Vocabulary
 from repro.crowd.service import ServiceConfig
 from repro.serve.app import AssignmentDaemon, ServeConfig
 from repro.serve.protocol import HttpClient
-from repro.serve.replay import load_journal, replay_differential
+from repro.serve.replay import load_journal, replay_journal
 
 N_KEYWORDS = 16
 
@@ -122,7 +122,6 @@ class TestDefaultsExposeNoBanditSurface:
         health, metrics = with_daemon(check)
         assert health["adaptivity"]["estimator"] == "plain"
         assert health["adaptivity"]["bandit"] == {"policy": "off", "draws": 0}
-        assert health["adaptivity"]["tier_policy"] == "streak"
         assert "serve_bandit" not in metrics
 
     def test_bandit_daemon_reports_draws(self):
@@ -132,17 +131,12 @@ class TestDefaultsExposeNoBanditSurface:
             _, metrics = await client.request("GET", "/metrics")
             return health, metrics
 
-        health, metrics = with_daemon(
-            check, estimator="bayes", bandit="thompson", tier_policy="bandit"
-        )
+        health, metrics = with_daemon(check, estimator="bayes", bandit="thompson")
         adaptivity = health["adaptivity"]
         assert adaptivity["estimator"] == "bayes"
         assert adaptivity["bandit"]["policy"] == "thompson"
         assert adaptivity["bandit"]["draws"] > 0
-        assert adaptivity["tier_policy"] == "bandit"
-        assert health["resilience"]["policy"] == "bandit"
         assert "serve_bandit_weight_draws" in metrics
-        assert "serve_bandit_tier_pulls_total" in metrics
 
 
 class TestBayesianSnapshotRestore:
@@ -273,13 +267,10 @@ class TestBanditJournalReplay:
         assert journal.adaptivity() == {
             "estimator": "bayes",
             "bandit": "thompson",
-            "tier_policy": "streak",
         }
-        reports = replay_differential(journal, make_pool(200))
-        assert reports
-        for report in reports:
-            assert report.ok, (report.variant, report.divergence)
-            assert report.state_verified, report.variant
+        report = replay_journal(journal, make_pool(200))
+        assert report.ok, report.divergence
+        assert report.state_verified
 
     def test_legacy_journal_defaults_to_the_paper_config(self, tmp_path):
         journal_path = tmp_path / "plain.jsonl"
@@ -306,5 +297,4 @@ class TestBanditJournalReplay:
         assert journal.adaptivity() == {
             "estimator": "plain",
             "bandit": "off",
-            "tier_policy": "streak",
         }

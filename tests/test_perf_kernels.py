@@ -20,19 +20,11 @@ from repro.core.distance import jaccard_distance, keyword_intersections, pairwis
 from repro.core.qap import build_encoding
 from repro.experiments import build_offline_instance
 from repro.matching.greedy import greedy_matching_dense
-from repro.matching.lsap import brute_force_lsap, hungarian
-from repro.perf import config as perf_config
+from repro.matching.lsap import _hungarian_min_reference, brute_force_lsap, hungarian
 from repro.perf.lsap_kernels import hungarian_min_rect
 
 #: Keyword-space widths: empty, and either side of the 64-bit boundaries.
 WIDTHS = (0, 1, 7, 63, 64, 65, 130)
-
-
-@pytest.fixture(autouse=True)
-def _clean_kernel_selection():
-    perf_config.reset_kernels()
-    yield
-    perf_config.reset_kernels()
 
 
 def scalar_jaccard(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -160,49 +152,16 @@ class TestBlasThreadPin:
         assert self._run(code, None) == "1"
 
 
-class TestKernelConfig:
-    def test_default_is_fastest(self):
-        assert perf_config.get_kernel("lsap") == "vectorized"
-
-    def test_set_and_reset(self):
-        perf_config.set_kernel("lsap", "reference")
-        assert perf_config.get_kernel("lsap") == "reference"
-        perf_config.reset_kernels()
-        assert perf_config.get_kernel("lsap") == "vectorized"
-
-    def test_use_kernel_restores(self):
-        with perf_config.use_kernel("lsap", "reference"):
-            assert perf_config.get_kernel("lsap") == "reference"
-        assert perf_config.get_kernel("lsap") == "vectorized"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LSAP_KERNEL", "reference")
-        assert perf_config.get_kernel("lsap") == "reference"
-        perf_config.set_kernel("lsap", "vectorized")  # explicit beats env
-        assert perf_config.get_kernel("lsap") == "vectorized"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown lsap kernel"):
-            perf_config.set_kernel("lsap", "blazing")
-        with pytest.raises(KeyError, match="unknown kernel domain"):
-            perf_config.get_kernel("jaccard")
-
-    def test_resolve_prefers_explicit(self):
-        perf_config.set_kernel("lsap", "reference")
-        assert perf_config.resolve_kernel("lsap", "vectorized") == "vectorized"
-        assert perf_config.resolve_kernel("lsap", None) == "reference"
-
-
 class TestHungarianDifferential:
     def test_square_assignments_identical(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             n = int(rng.integers(2, 40))
             profit = rng.random((n, n)) * 10
-            fast = hungarian(profit, kernel="vectorized")
-            slow = hungarian(profit, kernel="reference")
-            np.testing.assert_array_equal(fast.row_to_col, slow.row_to_col)
-            assert fast.value == slow.value
+            fast = hungarian(profit)
+            slow = _hungarian_min_reference(-profit)
+            np.testing.assert_array_equal(fast.row_to_col, slow)
+            assert fast.value == profit[np.arange(n), slow].sum()
 
     def test_square_with_ties_identical(self):
         """Integer profits force ties; tie-breaking must match exactly."""
@@ -210,9 +169,9 @@ class TestHungarianDifferential:
         for _ in range(50):
             n = int(rng.integers(2, 12))
             profit = rng.integers(0, 4, size=(n, n)).astype(float)
-            fast = hungarian(profit, kernel="vectorized")
-            slow = hungarian(profit, kernel="reference")
-            np.testing.assert_array_equal(fast.row_to_col, slow.row_to_col)
+            fast = hungarian(profit)
+            slow = _hungarian_min_reference(-profit)
+            np.testing.assert_array_equal(fast.row_to_col, slow)
 
     def test_rectangular_with_ties_identical(self):
         """Wide tie-heavy rectangles: the clique-column LSAP's shape."""
@@ -221,9 +180,9 @@ class TestHungarianDifferential:
             n_rows = int(rng.integers(0, 10))
             n_cols = int(rng.integers(max(n_rows, 1), 30))
             profit = rng.integers(-1, 3, size=(n_rows, n_cols)).astype(float)
-            fast = hungarian(profit, kernel="vectorized")
-            slow = hungarian(profit, kernel="reference")
-            np.testing.assert_array_equal(fast.row_to_col, slow.row_to_col)
+            fast = hungarian(profit)
+            slow = _hungarian_min_reference(-profit)
+            np.testing.assert_array_equal(fast.row_to_col, slow)
 
     def test_rectangular_matches_brute_force(self):
         """The direct rectangular solve must stay optimal on wide matrices."""
@@ -232,19 +191,22 @@ class TestHungarianDifferential:
             n_rows = int(rng.integers(1, 7))
             n_cols = int(rng.integers(n_rows, 10))
             profit = rng.integers(0, 6, size=(n_rows, n_cols)).astype(float)
-            for kernel in ("vectorized", "reference"):
-                solution = hungarian(profit, kernel=kernel)
-                oracle = brute_force_lsap(profit)
-                assert solution.value == pytest.approx(oracle.value)
-                assert solution.is_valid(n_cols)
+            oracle = brute_force_lsap(profit)
+            solution = hungarian(profit)
+            assert solution.value == pytest.approx(oracle.value)
+            assert solution.is_valid(n_cols)
+            slow = _hungarian_min_reference(-profit)
+            assert profit[np.arange(n_rows), slow].sum() == pytest.approx(
+                oracle.value
+            )
 
     def test_very_wide_rectangular(self):
         """n_rows << n_cols — a few workers against many candidate tasks."""
         rng = np.random.default_rng(8)
         profit = rng.random((5, 300))
-        fast = hungarian(profit, kernel="vectorized")
-        slow = hungarian(profit, kernel="reference")
-        np.testing.assert_array_equal(fast.row_to_col, slow.row_to_col)
+        fast = hungarian(profit)
+        slow = _hungarian_min_reference(-profit)
+        np.testing.assert_array_equal(fast.row_to_col, slow)
         assert fast.is_valid(300)
 
     @given(
@@ -260,8 +222,7 @@ class TestHungarianDifferential:
     ):
         """The HTA pipeline's rectangular input — clique columns as rows,
         shuffled tasks as columns — is massively tied on AMT pools; both
-        kernels must still pick the same columns, or the ``lsap-reference``
-        replay variant diverges from the recorded run."""
+        kernels must still pick the same columns."""
         instance = build_offline_instance(
             n_groups * per_group, per_group, n_workers, x_max, rng=seed
         )
@@ -273,15 +234,9 @@ class TestHungarianDifferential:
         row_order = np.random.default_rng(seed).permutation(n)
         n_clique = n_workers * x_max
         profit = encoding.profit_matrix(weights)[row_order, :n_clique].T
-        fast = hungarian(profit, kernel="vectorized")
-        slow = hungarian(profit, kernel="reference")
-        np.testing.assert_array_equal(fast.row_to_col, slow.row_to_col)
-
-    def test_kernel_selection_via_config(self):
-        profit = np.array([[4.0, 1.0], [2.0, 3.0]])
-        with perf_config.use_kernel("lsap", "reference"):
-            assert hungarian(profit).value == 7.0
-        assert hungarian(profit).value == 7.0
+        fast = hungarian(profit)
+        slow = _hungarian_min_reference(-profit)
+        np.testing.assert_array_equal(fast.row_to_col, slow)
 
     def test_min_rect_rejects_tall(self):
         with pytest.raises(ValueError, match="n_rows <= n_cols"):

@@ -23,7 +23,6 @@ from repro.serve.protocol import HttpClient
 from repro.serve.replay import (
     load_journal,
     pool_from_corpus_spec,
-    replay_differential,
     replay_journal,
 )
 from repro.storage import SnapshotStore, StorageError
@@ -409,7 +408,7 @@ def seeded_quality_journal(tmp_path_factory):
 
 class TestSharedSeededJournal:
     """The seeded quality journal — wherever it was recorded — replays
-    bit-identically across the whole differential panel."""
+    bit-identically."""
 
     def test_shared_journal_replays_differentially(
         self, seeded_quality_journal
@@ -418,6 +417,5 @@ class TestSharedSeededJournal:
         assert journal.quality_config() is not None
         assert any(e["type"] == "probe" for e in journal.events)
         pool = pool_from_corpus_spec(journal.corpus_spec)
-        reports = replay_differential(journal, pool)
-        for report in reports:
-            assert report.ok and report.state_verified, report.to_dict()
+        report = replay_journal(journal, pool)
+        assert report.ok and report.state_verified, report.to_dict()

@@ -10,7 +10,7 @@ from repro.core import Task, TaskPool, Vocabulary
 from repro.crowd.service import ServiceConfig
 from repro.serve.app import AssignmentDaemon, ServeConfig
 from repro.serve.loadgen import LoadgenConfig, run_loadgen
-from repro.serve.protocol import HttpClient, install_uvloop
+from repro.serve.protocol import HttpClient
 
 N_KEYWORDS = 16
 
@@ -266,29 +266,6 @@ class TestKeepAlive:
             return client.connections_opened
 
         assert with_daemon(check) == 2
-
-
-class TestUvloopGate:
-    def test_off_is_a_noop(self):
-        assert install_uvloop("off") is False
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="auto/on/off"):
-            install_uvloop("fast")
-
-    def test_auto_never_raises(self):
-        try:
-            import uvloop  # noqa: F401
-
-            available = True
-        except ImportError:
-            available = False
-        assert install_uvloop("auto") is available
-        if not available:
-            with pytest.raises(RuntimeError, match="not installed"):
-                install_uvloop("on")
-        # Leave the default policy behind for the rest of the suite.
-        asyncio.set_event_loop_policy(None)
 
 
 class TestTaskIngestion:

@@ -262,7 +262,7 @@ def _pattern(name: str) -> "re.Pattern[str]":
     return re.compile("[a-z_]+".join(re.escape(part) for part in parts) + "$")
 
 
-def emitted_families(tier_policy: str) -> set[str]:
+def emitted_families() -> set[str]:
     """Family names a fully-featured daemon exposes on ``/metrics``."""
     n_keywords = 16
     vocab = Vocabulary([f"k{i}" for i in range(n_keywords)])
@@ -285,7 +285,6 @@ def emitted_families(tier_policy: str) -> set[str]:
         fault_plan=FaultPlan(seed=1, solve_delay_p=0.5),
         estimator="bayes",
         bandit="thompson",
-        tier_policy=tier_policy,
         trace_sample_rate=1.0,
     )
 
@@ -318,12 +317,11 @@ def emitted_families(tier_policy: str) -> set[str]:
 
 class TestMetricCatalogue:
     """SERVING.md's metric tables and the daemon's ``/metrics`` agree in
-    both directions.  The streak and bandit tier policies export different
-    tier families, so the emitted side is the union of one run of each."""
+    both directions."""
 
     @pytest.fixture(scope="class")
     def emitted(self):
-        return emitted_families("streak") | emitted_families("bandit")
+        return emitted_families()
 
     def test_every_emitted_family_is_documented(self, emitted):
         patterns = [_pattern(name) for name in documented_families()]

@@ -5,7 +5,7 @@ The tentpole claims here:
 
 * a journal recorded by a live daemon — healthy or under fault
   injection — replays to *bit-identical* display events and final state
-  hash under every configuration in the differential panel;
+  hash, and a healthy run also replays pinned to the tier it ran on;
 * a tampered journal is pinpointed: first divergent seq, offending worker,
   the trace ids that rode that solve;
 * schema drift (unknown event type, missing field, seq gap, version bump)
@@ -29,14 +29,20 @@ from repro.serve.protocol import HttpClient
 from repro.serve.replay import (
     JOURNAL_VERSION,
     ReplayError,
-    default_variants,
+    ReplayVariant,
     load_journal,
-    replay_differential,
     replay_journal,
 )
 from repro.serve.resilience import FaultPlan
 
 N_KEYWORDS = 16
+
+#: What ``repro replay J --pin-tier hta-gre`` runs: the in-loop replay plus
+#: every solve pinned to the tier a healthy hta-gre daemon never left.
+PINNED_PANEL = (
+    ReplayVariant(),
+    ReplayVariant("pin:hta-gre", pinned_solver="hta-gre"),
+)
 
 
 def make_pool(n_tasks=300, seed=0):
@@ -145,6 +151,37 @@ def recorded(tmp_path_factory):
     return journal
 
 
+@pytest.fixture(scope="module")
+def cli_recorded(tmp_path_factory):
+    """A journal `repro replay` can run on its own: the CLI rebuilds the
+    pool from the header's corpus spec, so this records against a
+    crowdflower corpus."""
+    from dataclasses import replace
+
+    from repro.data import CrowdFlowerConfig, generate_crowdflower_corpus
+
+    journal = tmp_path_factory.mktemp("cli") / "cli.jsonl"
+
+    async def scenario():
+        corpus = generate_crowdflower_corpus(CrowdFlowerConfig(n_tasks=200), rng=0)
+        daemon = AssignmentDaemon(
+            corpus.pool,
+            serve_config(
+                journal_path=str(journal),
+                corpus_spec={"kind": "crowdflower", "n_tasks": 200, "seed": 0},
+            ),
+        )
+        await daemon.start()
+        try:
+            config = LoadgenConfig(n_workers=4, completions_per_worker=6, seed=0)
+            await run_loadgen(replace(config, port=daemon.port))
+        finally:
+            await daemon.stop()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+    return journal
+
+
 def rewrite(journal: Path, out: Path, mutate) -> Path:
     """Copy a journal through a per-record mutation (None drops the line)."""
     lines = []
@@ -232,11 +269,32 @@ class TestJournalSchema:
             load_journal(rewrite(recorded, tmp_path / "h.jsonl", strip))
 
 
+class TestParentTierPolicyHeader:
+    """Journals recorded before the tier bandit was removed carry
+    ``adaptivity.tier_policy`` in their header.  Replay never read it
+    (every ``register`` and ``lease`` event records its solver), so both
+    values still load and replay clean."""
+
+    @pytest.mark.parametrize("tier_policy", ["streak", "bandit"])
+    def test_parent_journal_replays(self, recorded, tmp_path, tier_policy):
+        def stamp(record):
+            if record["type"] == "header":
+                record["adaptivity"]["tier_policy"] = tier_policy
+            return record
+
+        journal = load_journal(
+            rewrite(recorded, tmp_path / f"{tier_policy}.jsonl", stamp)
+        )
+        assert journal.header["adaptivity"]["tier_policy"] == tier_policy
+        report = replay_journal(journal, make_pool())
+        assert report.ok and report.state_verified, report.to_dict()
+
+
 class TestBitIdentity:
     def test_inloop_journal_replays_under_every_variant(self, recorded):
         journal = load_journal(recorded)
         pool = make_pool()
-        for variant in default_variants():
+        for variant in PINNED_PANEL:
             report = replay_journal(journal, pool, variant)
             assert report.ok, report.to_dict()
             assert report.state_verified
@@ -246,8 +304,12 @@ class TestBitIdentity:
             assert report.disjointness_violations == 0
 
     def test_differential_panel_agrees(self, recorded):
-        reports = replay_differential(load_journal(recorded), make_pool())
-        assert [r.variant for r in reports] == ["in-loop", "lsap-reference"]
+        journal, pool = load_journal(recorded), make_pool()
+        reports = [replay_journal(journal, pool, v) for v in PINNED_PANEL]
+        assert [r.variant for r in reports] == ["in-loop", "pin:hta-gre"]
+        assert reports[0].to_dict() | {"variant": None} == (
+            reports[1].to_dict() | {"variant": None}
+        )
         for report in reports:
             assert report.ok and report.state_verified, report.to_dict()
 
@@ -272,9 +334,8 @@ class TestBitIdentity:
             ),
         )
         assert result.clean, result.to_dict()
-        reports = replay_differential(load_journal(journal), make_pool(400))
-        for report in reports:
-            assert report.ok and report.state_verified, report.to_dict()
+        report = replay_journal(load_journal(journal), make_pool(400))
+        assert report.ok and report.state_verified, report.to_dict()
 
     def test_failed_solves_replay_clean(self, tmp_path):
         """An injected failure hits after prepare, so the journal holds a
@@ -286,9 +347,9 @@ class TestBitIdentity:
         types = [e["type"] for e in events]
         assert "commit" not in types
         assert types.count("abandon") == types.count("lease") > 0
-        for report in replay_differential(load_journal(journal), make_pool()):
-            assert report.ok and report.state_verified, report.to_dict()
-            assert report.solves_abandoned == types.count("abandon")
+        report = replay_journal(load_journal(journal), make_pool())
+        assert report.ok and report.state_verified, report.to_dict()
+        assert report.solves_abandoned == types.count("abandon")
 
     def test_tampered_commit_pinpoints_divergence(self, recorded, tmp_path):
         def corrupt(record):
@@ -322,41 +383,12 @@ class TestBitIdentity:
         assert report.divergence.seq == corrupt.done
         assert report.divergence.field == "alpha"
 
-    def test_replay_cli_exit_codes(self, tmp_path):
-        """`repro replay` needs the header's corpus spec to rebuild the
-        pool, so this records against a crowdflower corpus."""
+    def test_replay_cli_exit_codes(self, cli_recorded, tmp_path):
         from repro.cli import main
-        from repro.data import CrowdFlowerConfig, generate_crowdflower_corpus
 
-        journal = tmp_path / "cli.jsonl"
-
-        async def scenario():
-            from dataclasses import replace
-
-            corpus = generate_crowdflower_corpus(
-                CrowdFlowerConfig(n_tasks=200), rng=0
-            )
-            daemon = AssignmentDaemon(
-                corpus.pool,
-                serve_config(
-                    journal_path=str(journal),
-                    corpus_spec={
-                        "kind": "crowdflower", "n_tasks": 200, "seed": 0,
-                    },
-                ),
-            )
-            await daemon.start()
-            try:
-                config = LoadgenConfig(
-                    n_workers=4, completions_per_worker=6, seed=0
-                )
-                await run_loadgen(replace(config, port=daemon.port))
-            finally:
-                await daemon.stop()
-
-        asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+        journal = cli_recorded
         assert main(["replay", str(journal)]) == 0
-        assert main(["replay", str(journal), "--differential"]) == 0
+        assert main(["replay", str(journal), "--pin-tier", "hta-gre"]) == 0
         assert main(["replay", str(tmp_path / "nope.jsonl")]) == 2
 
         def corrupt(record):
@@ -593,12 +625,9 @@ class TestReplayProperty:
                     max_retries=8,
                 ),
             )
-            journal = load_journal(journal_path)
-            pool = make_pool(200)
-            for variant in default_variants():
-                report = replay_journal(journal, pool, variant)
-                assert report.ok, report.to_dict()
-                assert report.state_verified
+            report = replay_journal(load_journal(journal_path), make_pool(200))
+            assert report.ok, report.to_dict()
+            assert report.state_verified
 
 
 @pytest.fixture(scope="module")
@@ -634,10 +663,9 @@ class TestArrivalReplay:
         assert posted == [f"arr-{i}" for i in range(12)]
 
     def test_differential_panel_agrees_with_arrivals(self, arrival_recorded):
-        reports = replay_differential(
-            load_journal(arrival_recorded), make_pool(200)
-        )
-        for report in reports:
+        journal, pool = load_journal(arrival_recorded), make_pool(200)
+        for variant in PINNED_PANEL:
+            report = replay_journal(journal, pool, variant)
             assert report.ok and report.state_verified, report.to_dict()
             assert report.arrivals == 3
 
@@ -671,8 +699,7 @@ class TestArrivalReplay:
         self, seed, pattern, chaos
     ):
         """Any arrival pattern — healthy or under response-drop/solve-fail
-        chaos — records a journal that replays bit-identically under every
-        variant."""
+        chaos — records a journal that replays bit-identically."""
         plan = (
             FaultPlan(seed=seed, drop_response_p=0.1, solve_fail_p=0.1)
             if chaos
@@ -700,17 +727,37 @@ class TestArrivalReplay:
             assert any(
                 e["type"] == "task_arrival" for e in journal.events
             )
-            for variant in default_variants():
-                report = replay_journal(journal, make_pool(200), variant)
-                assert report.ok, report.to_dict()
-                assert report.state_verified
-                assert report.arrivals >= 1
+            report = replay_journal(journal, make_pool(200))
+            assert report.ok, report.to_dict()
+            assert report.state_verified
+            assert report.arrivals >= 1
 
 
 class TestDefaultVariants:
-    def test_panel_composition(self):
-        labels = [v.label for v in default_variants()]
-        assert labels == ["in-loop", "lsap-reference"]
-        pinned = default_variants(pin_tier="hta-gre-rel")[-1]
-        assert pinned.label == "pin:hta-gre-rel"
-        assert pinned.pinned_solver == "hta-gre-rel"
+    """The variants `repro replay` runs: the in-loop replay, plus one
+    pinned tier when ``--pin-tier`` names a solver."""
+
+    def test_panel_composition(self, cli_recorded, capsys):
+        from repro.cli import main
+
+        assert main(["replay", str(cli_recorded)]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["variant"] for r in reports] == ["in-loop"]
+        # A pinned tier's divergence is a diagnostic: the exit code stays 0.
+        pinned = ["replay", str(cli_recorded), "--pin-tier", "hta-gre-rel"]
+        assert main(pinned) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["variant"] for r in reports] == ["in-loop", "pin:hta-gre-rel"]
+        assert reports[0]["ok"] and reports[0]["state_verified"]
+
+    def test_unknown_pin_tier_is_a_usage_error(self, cli_recorded, capsys):
+        """An unknown solver is refused while parsing arguments, before any
+        replay runs, instead of surfacing as a traceback mid-replay."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", str(cli_recorded), "--pin-tier", "nonsense"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'nonsense'" in captured.err
