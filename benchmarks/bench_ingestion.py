@@ -11,7 +11,11 @@ leave on in production:
   the speedup ratio; the gate is a generous floor well under the asymptotic
   gap, so only a real algorithmic regression (e.g. append quietly falling
   back to rebuild) trips it.  Bit-identity against the rebuild oracle is
-  asserted in the same run — a fast wrong cache must never pass.
+  asserted in the same run — a fast wrong cache must never pass.  The cache
+  stores one row per distinct keyword profile, so a second, ungated trial
+  runs the worst case — all-distinct random rows, every arrival a new
+  profile — and reports its absolute append and rebuild seconds beside the
+  correlated trial, with its own bit-identity assertion.
 * **Do arrival bursts stall the serving path?**  Two self-contained loadgen
   runs, identical except one drives correlated-similarity burst arrivals
   through ``POST /tasks`` while workers complete.  The committed ratio is
@@ -36,8 +40,8 @@ import time
 
 import numpy as np
 
+from repro.core import Task, TaskPool, Vocabulary
 from repro.core.distance import pairwise_jaccard
-from repro.core.task import Task
 from repro.data import CrowdFlowerConfig, generate_crowdflower_corpus
 from repro.serve.cache import IncrementalDiversityCache
 from repro.serve.loadgen import LoadgenConfig, run_self_contained
@@ -81,14 +85,8 @@ def _arrival_tasks(n_keywords: int, rng: np.random.Generator) -> list[Task]:
     return tasks
 
 
-def _measure_append_vs_rebuild() -> dict:
-    corpus = generate_crowdflower_corpus(
-        CrowdFlowerConfig(n_tasks=N_BASE), rng=SEED
-    )
-    pool = corpus.pool
-    rng = np.random.default_rng(SEED)
-    batches = [_arrival_tasks(pool.matrix.shape[1], rng) for _ in range(N_APPENDS)]
-
+def _append_trial(pool, batches: list[list[Task]]) -> dict:
+    """Best-of timings of block append vs a full rebuild, plus bit-identity."""
     best_append = best_rebuild = float("inf")
     for _ in range(N_TRIALS):
         cache = IncrementalDiversityCache(pool)
@@ -114,7 +112,8 @@ def _measure_append_vs_rebuild() -> dict:
     cached = cache.submatrix(ids)
     bit_identical = cached is not None and np.array_equal(cached, oracle)
     return {
-        "cached_rows": N_BASE,
+        "cached_rows": len(pool),
+        "profiles": cache.backing_rows,
         "append_batch": APPEND_BATCH,
         "append_batches": N_APPENDS,
         "append_seconds": round(best_append, 6),
@@ -122,6 +121,34 @@ def _measure_append_vs_rebuild() -> dict:
         "append_speedup": round(best_rebuild / max(best_append, 1e-9), 2),
         "bit_identical_to_rebuild": bool(bit_identical),
     }
+
+
+def _measure_append_vs_rebuild() -> dict:
+    """Correlated arrivals onto a CrowdFlower-style corpus (the gated trial)."""
+    corpus = generate_crowdflower_corpus(
+        CrowdFlowerConfig(n_tasks=N_BASE), rng=SEED
+    )
+    pool = corpus.pool
+    rng = np.random.default_rng(SEED)
+    batches = [_arrival_tasks(pool.matrix.shape[1], rng) for _ in range(N_APPENDS)]
+    return _append_trial(pool, batches)
+
+
+def _measure_all_distinct() -> dict:
+    """Worst case for the profile cache: every row its own keyword profile,
+    so each arrival appends a row and column.  Reported, not gated on speed."""
+    rng = np.random.default_rng(SEED)
+    n_rows = N_BASE + N_APPENDS * APPEND_BATCH
+    rows = np.unique(rng.random((2 * n_rows, 64)) < 0.3, axis=0)
+    rows = rows[rng.permutation(len(rows))[:n_rows]]
+    assert len(rows) == n_rows, "all-distinct trial needs distinct rows"
+    vocab = Vocabulary([f"k{i}" for i in range(rows.shape[1])])
+    pool = TaskPool([Task(f"d{i}", rows[i]) for i in range(N_BASE)], vocab)
+    batches = [
+        [Task(f"d{i}", rows[i]) for i in range(start, start + APPEND_BATCH)]
+        for start in range(N_BASE, n_rows, APPEND_BATCH)
+    ]
+    return _append_trial(pool, batches)
 
 
 def _serving_config(burst: bool) -> LoadgenConfig:
@@ -161,6 +188,7 @@ def measure() -> dict:
         "benchmark": "ingestion",
         "seed": SEED,
         "append": _measure_append_vs_rebuild(),
+        "append_all_distinct": _measure_all_distinct(),
         "serving": _measure_burst_latency(),
     }
 
@@ -171,6 +199,10 @@ def gate_failures(record: dict) -> list[str]:
     if not append["bit_identical_to_rebuild"]:
         failures.append(
             "block-appended cache is not bit-identical to the rebuild oracle"
+        )
+    if not record["append_all_distinct"]["bit_identical_to_rebuild"]:
+        failures.append(
+            "all-distinct block append is not bit-identical to the rebuild oracle"
         )
     if append["append_speedup"] < MIN_APPEND_SPEEDUP:
         failures.append(

@@ -16,10 +16,11 @@ replaced, on serving-path shapes:
   identical, row for row, while timing.
 
 All committed numbers are *speedup ratios* (reference time / kernel time),
-so the baseline is machine-portable.  Standalone:
-``python benchmarks/bench_kernels.py`` writes
+so the baseline is machine-portable; each is taken from the unrounded
+timings.  Standalone: ``python benchmarks/bench_kernels.py`` writes
 ``benchmarks/BENCH_kernels.json``; ``--check BASELINE.json`` re-runs and
-fails on a >25% regression of any ratio vs the committed baseline.
+fails when any ratio drops below 1.0 (the kernel is slower than its
+oracle) or regresses >25% vs the committed baseline.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ CHECKED_RATIOS = (
     "lsap_rect_speedup",
 )
 REGRESSION_TOLERANCE = 0.25
+#: Absolute floor on every checked ratio, whatever the baseline: a kernel
+#: that is slower than the oracle it replaced has no reason to exist.  The
+#: drift floor alone cannot catch that for baselines near 1 (1.25 x 0.75
+#: is 0.94).
+MIN_SPEEDUP = 1.0
 
 
 def _best_of(fn, repeats: int = REPEATS) -> tuple[float, object]:
@@ -98,11 +104,11 @@ def measure_jaccard() -> dict:
 
     return {
         "square_shape": list(JACCARD_SQUARE),
-        "square_int64_seconds": round(int64_s, 4),
-        "square_blas_seconds": round(blas_s, 4),
+        "square_int64_seconds": int64_s,
+        "square_blas_seconds": blas_s,
         "cross_shape": list(JACCARD_CROSS),
-        "cross_int64_seconds": round(int64_cross_s, 4),
-        "cross_blas_seconds": round(blas_cross_s, 4),
+        "cross_int64_seconds": int64_cross_s,
+        "cross_blas_seconds": blas_cross_s,
         "bit_identical": True,
     }
 
@@ -122,11 +128,22 @@ def measure_lsap() -> dict:
 
     return {
         "square_n": LSAP_SQUARE,
-        "square_reference_seconds": round(ref_sq_s, 4),
-        "square_vectorized_seconds": round(vec_sq_s, 4),
+        "square_reference_seconds": ref_sq_s,
+        "square_vectorized_seconds": vec_sq_s,
         "rect_shape": list(LSAP_RECT),
-        "rect_reference_seconds": round(ref_rc_s, 4),
-        "rect_vectorized_seconds": round(vec_rc_s, 4),
+        "rect_reference_seconds": ref_rc_s,
+        "rect_vectorized_seconds": vec_rc_s,
+    }
+
+
+def _speedup(reference_s: float, kernel_s: float) -> float:
+    return round(reference_s / max(kernel_s, 1e-9), 2)
+
+
+def _rounded(timings: dict) -> dict:
+    return {
+        key: round(value, 4) if key.endswith("_seconds") else value
+        for key, value in timings.items()
     }
 
 
@@ -135,27 +152,19 @@ def measure() -> dict:
     lsap = measure_lsap()
     return {
         "benchmark": "perf_kernels",
-        "jaccard": jaccard,
-        "lsap": lsap,
-        "jaccard_square_speedup": round(
-            jaccard["square_int64_seconds"]
-            / max(jaccard["square_blas_seconds"], 1e-9),
-            2,
+        "jaccard": _rounded(jaccard),
+        "lsap": _rounded(lsap),
+        "jaccard_square_speedup": _speedup(
+            jaccard["square_int64_seconds"], jaccard["square_blas_seconds"]
         ),
-        "jaccard_cross_speedup": round(
-            jaccard["cross_int64_seconds"]
-            / max(jaccard["cross_blas_seconds"], 1e-9),
-            2,
+        "jaccard_cross_speedup": _speedup(
+            jaccard["cross_int64_seconds"], jaccard["cross_blas_seconds"]
         ),
-        "lsap_square_speedup": round(
-            lsap["square_reference_seconds"]
-            / max(lsap["square_vectorized_seconds"], 1e-9),
-            2,
+        "lsap_square_speedup": _speedup(
+            lsap["square_reference_seconds"], lsap["square_vectorized_seconds"]
         ),
-        "lsap_rect_speedup": round(
-            lsap["rect_reference_seconds"]
-            / max(lsap["rect_vectorized_seconds"], 1e-9),
-            2,
+        "lsap_rect_speedup": _speedup(
+            lsap["rect_reference_seconds"], lsap["rect_vectorized_seconds"]
         ),
     }
 
@@ -174,6 +183,11 @@ def check_against_baseline(record: dict, baseline: dict) -> list[str]:
                 f"{name}: {current} fell below {floor:.3f} (baseline "
                 f"{baseline[name]}, tolerance {tolerance:.0%})"
             )
+        if current < MIN_SPEEDUP:
+            failures.append(
+                f"{name}: {current} < {MIN_SPEEDUP}: the kernel is slower "
+                f"than its reference"
+            )
     return failures
 
 
@@ -191,7 +205,8 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         metavar="BASELINE.json",
         help="compare speedup ratios against a committed baseline instead "
-        "of writing a new one; exits 1 on a >25%% regression",
+        "of writing a new one; exits 1 when a ratio is below 1.0 or "
+        "regresses >25%%",
     )
     args = parser.parse_args(argv)
 

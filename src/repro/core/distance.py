@@ -221,6 +221,40 @@ def pairwise_jaccard(
     return out
 
 
+def keyword_profiles(
+    matrix: np.ndarray,
+    index: dict[bytes, int] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keyword rows (*profiles*) and each row's profile number.
+
+    Tasks of one group share their keywords, so a pool holds far fewer
+    profiles than tasks, and every pairwise distance is a distance between
+    two profiles: ``D == P[np.ix_(profile, profile)]`` where ``P`` is the
+    profile matrix.  Rows are keyed by their packed bytes.  ``index`` maps
+    the keys already numbered (it is extended in place, new profiles
+    numbered from ``len(index)`` in order of first appearance); only the
+    rows of the *new* profiles are returned.
+
+    >>> rows = np.array([[1, 0], [0, 1], [1, 0]], bool)
+    >>> profiles, profile = keyword_profiles(rows)
+    >>> profiles.astype(int).tolist(), profile.tolist()
+    ([[1, 0], [0, 1]], [0, 1, 0])
+    """
+    rows = np.asarray(matrix, dtype=bool)
+    index = {} if index is None else index
+    packed = np.packbits(rows, axis=1)
+    width, buffer, known = packed.shape[1], packed.tobytes(), len(index)
+    profile = np.fromiter(
+        (index.setdefault(buffer[i * width:(i + 1) * width], len(index))
+         for i in range(rows.shape[0])),
+        dtype=np.intp,
+        count=rows.shape[0],
+    )
+    new = np.flatnonzero(profile >= known)
+    first = new[np.unique(profile[new], return_index=True)[1]]
+    return rows[first], profile
+
+
 def take_submatrix(matrix: np.ndarray, indices: Sequence[int] | np.ndarray) -> np.ndarray:
     """Contiguous symmetric submatrix ``matrix[indices][:, indices]``.
 

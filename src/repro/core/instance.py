@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import InvalidInstanceError
-from .distance import DistanceSpec
+from .distance import DistanceSpec, keyword_profiles, take_submatrix
 from .task import TaskPool
 from .worker import WorkerPool
 
@@ -66,8 +66,15 @@ class HTAInstance:
 
     @cached_property
     def diversity(self) -> np.ndarray:
-        """Pairwise task-diversity matrix ``d(t_k, t_l)``, shape ``(n, n)``."""
-        return self.distance.matrix(self.tasks.matrix)
+        """Pairwise task-diversity matrix ``d(t_k, t_l)``, shape ``(n, n)``.
+
+        Computed once per distinct keyword profile and carved out per task
+        pair: the same distance of the same two vectors, so the entries equal
+        a task-level computation bit for bit (two tasks sharing a profile sit
+        at distance ``d(x, x) = 0``, the metric identity axiom).
+        """
+        profiles, profile = keyword_profiles(self.tasks.matrix)
+        return take_submatrix(self.distance.matrix(profiles), profile)
 
     @cached_property
     def relevance(self) -> np.ndarray:

@@ -3,23 +3,33 @@
 Every HTA solve needs the pairwise task-diversity submatrix of its candidate
 set.  The in-process simulator recomputes it from the keyword matrix on each
 iteration — ``O(k^2 R)`` integer dot products.  The serving daemon instead
-pays the full ``O(n^2 R)`` cost once at startup and then only *carves*
-``O(k^2)`` submatrices per solve.
+keeps one distance matrix alive across solves and only *carves* ``O(k^2)``
+submatrices per solve.
+
+That matrix is indexed by keyword *profile*, not by task.  Tasks of one
+group share their keywords (AMT task groups, CrowdFlower task kinds), so a
+corpus holds far fewer distinct keyword rows than tasks — 459 for the
+daemon's 4,800-task default — and the distance of two tasks is the distance
+of their profiles.  The cache keeps a profile distance matrix, a
+keyword-bytes → profile dict and a task → profile dict; a carve maps task
+ids to profile rows and indexes the profile matrix.
 
 The pool is open-world in both directions.  Removals exploit the paper's
 display monotonicity: once displayed, a task is dropped from subsequent
-iterations, so its row goes dead and is reclaimed by a compaction pass once
-enough rows have died.  Arrivals (``POST /tasks`` ingestion) extend the
-matrix by *block append*: the cache keeps the keyword vectors aligned with
-its backing rows, computes one ``(new, live)`` cross-distance block plus one
-``(new, new)`` self block, and writes them into an over-allocated backing
-buffer.  The buffer grows geometrically, so the ``O(n^2)`` re-pack cost is
-amortized across appends the same way a dynamic array amortizes copies.
+iterations, so it leaves the task index and its profile's live count drops.
+A profile whose last task left is dead; a compaction pass reclaims dead
+profile rows once enough of them have died.  Arrivals (``POST /tasks``
+ingestion) whose profile is already cached cost one dict insert.  Only a
+*new* profile extends the matrix by *block append*: one ``(new, used)``
+cross-distance block plus one ``(new, new)`` self block, written into an
+over-allocated backing buffer.  The buffer grows geometrically, so the
+``O(p^2)`` re-pack cost is amortized across appends the same way a dynamic
+array amortizes copies, even when every arrival brings a new profile.
 Every Jaccard entry is derived from exact integer intersection and union
 counts (a float64 BLAS product of 0/1 vectors is exact) by the same float
-operations whichever block it lands in, so block-appended entries are
-bit-identical to a from-scratch rebuild of the full matrix — the
-differential suites assert exactly that.
+operations whichever block it lands in, so carves are bit-identical to a
+from-scratch task-level rebuild — the differential suites assert exactly
+that.
 
 The cache subscribes to :class:`repro.crowd.service.TaskPoolState` removal
 *and* arrival events; see :meth:`IncrementalDiversityCache.attach`.
@@ -31,10 +41,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.distance import pairwise_jaccard, take_submatrix
+from ..core.distance import keyword_profiles, pairwise_jaccard, take_submatrix
 from ..core.task import Task, TaskPool
 
-#: Compact the backing matrix when fewer than this fraction of rows is alive.
+#: Compact the profile matrix when fewer than this fraction of its rows is alive.
 _COMPACT_THRESHOLD = 0.5
 
 #: Over-allocation factor applied when an append outgrows the backing buffer.
@@ -45,10 +55,10 @@ class IncrementalDiversityCache:
     """Pairwise Jaccard distances over a dynamic (shrink *and* grow) pool.
 
     Args:
-        pool: The full task pool at daemon startup; the ``O(n^2 R)``
-            pairwise matrix is computed here, once.
-        compact_threshold: Live-row fraction below which the backing matrix
-            is compacted to the surviving rows.
+        pool: The full task pool at daemon startup; the pairwise matrix of
+            its distinct keyword profiles is computed here, once.
+        compact_threshold: Live-profile fraction below which the profile
+            matrix is compacted to the surviving profiles.
     """
 
     def __init__(self, pool: TaskPool, compact_threshold: float = _COMPACT_THRESHOLD):
@@ -58,14 +68,15 @@ class IncrementalDiversityCache:
             )
         keywords = np.asarray(pool.matrix, dtype=bool)
         self._n_keywords = keywords.shape[1]
-        self._matrix = pairwise_jaccard(keywords)
-        self._keywords = keywords.copy()
-        self._row_of: dict[str, int] = {
-            task.task_id: i for i, task in enumerate(pool)
+        self._profile_of_key: dict[bytes, int] = {}
+        self._profiles, profile = keyword_profiles(keywords, self._profile_of_key)
+        self._matrix = pairwise_jaccard(self._profiles)
+        self._profile_of: dict[str, int] = {
+            task.task_id: p for task, p in zip(pool, profile.tolist())
         }
-        # Rows [0, _capacity) of the backing buffer are in use (live + dead);
-        # rows beyond that are pre-allocated slack for future appends.
-        self._capacity = len(self._row_of)
+        # Live tasks per profile row.  Rows [0, backing_rows) are in use
+        # (live + dead profiles); rows beyond that are slack for appends.
+        self._live = np.bincount(profile, minlength=len(self._profiles))
         self._compact_threshold = compact_threshold
         self.compactions = 0
         self.carves = 0
@@ -73,47 +84,51 @@ class IncrementalDiversityCache:
 
     def __len__(self) -> int:
         """Number of live tasks."""
-        return len(self._row_of)
+        return len(self._profile_of)
 
     def __contains__(self, task_id: str) -> bool:
-        return task_id in self._row_of
+        return task_id in self._profile_of
 
     @property
     def backing_rows(self) -> int:
-        """Rows of the backing matrix in use (>= live tasks until compaction)."""
-        return self._capacity
+        """Profile rows in use (live and dead, until compaction)."""
+        return len(self._profile_of_key)
 
     @property
     def allocated_rows(self) -> int:
-        """Rows allocated in the backing buffer (>= :attr:`backing_rows`)."""
+        """Profile rows allocated in the backing buffer (>= :attr:`backing_rows`)."""
         return self._matrix.shape[0]
 
     def on_removed(self, task_ids: Sequence[str]) -> None:
-        """Pool-removal listener: forget rows, compacting when sparse.
+        """Pool-removal listener: forget tasks, compacting dead profiles.
 
         Unknown ids are ignored, so the cache can be attached to a pool
         state that already dropped some tasks.
         """
         for task_id in task_ids:
-            self._row_of.pop(task_id, None)
-        live = len(self._row_of)
-        if self._capacity and live / self._capacity < self._compact_threshold:
+            profile = self._profile_of.pop(task_id, None)
+            if profile is not None:
+                self._live[profile] -= 1
+        used = self.backing_rows
+        live = np.count_nonzero(self._live[:used])
+        if used and live / used < self._compact_threshold:
             self._compact()
 
     def on_added(self, tasks: Sequence[Task]) -> None:
-        """Pool-arrival listener: block-append rows for newly admitted tasks.
+        """Pool-arrival listener: index newly admitted tasks.
 
-        Each arrival batch costs one ``(new, used)`` cross-Jaccard block and
-        one ``(new, new)`` self block instead of an ``O(n^2 R)`` rebuild.
-        Raises ``ValueError`` on a duplicate id (within the batch or against
-        a live row) or on a keyword-vector length mismatch; an empty batch
-        is a no-op.
+        A task whose keyword profile is cached costs one dict insert; each
+        batch of new profiles costs one ``(new, used)`` cross-Jaccard block
+        and one ``(new, new)`` self block instead of a rebuild.  Raises
+        ``ValueError`` on a duplicate id (within the batch or against a live
+        task) or on a keyword-vector length mismatch; an empty batch is a
+        no-op.
         """
         if not tasks:
             return
         seen: set[str] = set()
         for task in tasks:
-            if task.task_id in self._row_of or task.task_id in seen:
+            if task.task_id in self._profile_of or task.task_id in seen:
                 raise ValueError(
                     f"cannot append task {task.task_id!r}: id already cached"
                 )
@@ -123,63 +138,54 @@ class IncrementalDiversityCache:
                     f"task {task.task_id!r} has a {task.vector.shape[0]}-keyword "
                     f"vector; this cache indexes {self._n_keywords} keywords"
                 )
-        new_vectors = np.stack([task.vector for task in tasks]).astype(bool)
-        n_new = len(tasks)
-        if self._capacity == 0:
-            # Append after total drain: nothing to cross against, so the
-            # self block *is* the matrix.  Start a fresh buffer.
-            self._matrix = pairwise_jaccard(new_vectors)
-            self._keywords = new_vectors.copy()
-            self._capacity = 0
-        else:
-            if self._capacity + n_new > self._matrix.shape[0]:
-                self._grow(n_new)
-            used = self._capacity
-            cross = pairwise_jaccard(new_vectors, self._keywords[:used])
-            block = pairwise_jaccard(new_vectors)
-            stop = used + n_new
+        used = self.backing_rows
+        fresh, profile = keyword_profiles(
+            np.stack([task.vector for task in tasks]), self._profile_of_key
+        )
+        stop = used + len(fresh)
+        if stop > self.allocated_rows:
+            self._grow(used, stop)
+        if len(fresh):
+            cross = pairwise_jaccard(fresh, self._profiles[:used])
             self._matrix[used:stop, :used] = cross
             self._matrix[:used, used:stop] = cross.T
-            self._matrix[used:stop, used:stop] = block
-            self._keywords[used:stop] = new_vectors
-        for task in tasks:
-            self._row_of[task.task_id] = self._capacity
-            self._capacity += 1
+            self._matrix[used:stop, used:stop] = pairwise_jaccard(fresh)
+            self._profiles[used:stop] = fresh
+        for task, p in zip(tasks, profile.tolist()):
+            self._profile_of[task.task_id] = p
+        np.add.at(self._live, profile, 1)
         self.appends += 1
 
-    def _grow(self, n_new: int) -> None:
-        """Re-pack live rows into a geometrically larger buffer.
+    def _grow(self, used: int, needed: int) -> None:
+        """Copy the ``used`` profile rows into a geometrically larger buffer.
 
-        Dead rows are dropped during the copy (growth doubles as a
-        compaction), so the amortized append cost stays linear in the live
-        pool even under heavy interleaved removal.
+        No dead rows need dropping here: every removal already compacts
+        once too few profiles are alive, and arrivals only add live ones.
         """
-        ids = list(self._row_of)
-        rows = np.fromiter(
-            (self._row_of[tid] for tid in ids), dtype=np.intp, count=len(ids)
-        )
-        live = len(ids)
-        alloc = max(int((live + n_new) * _GROWTH_FACTOR), live + n_new)
+        alloc = max(int(needed * _GROWTH_FACTOR), needed)
         matrix = np.zeros((alloc, alloc), dtype=np.float64)
-        keywords = np.zeros((alloc, self._n_keywords), dtype=bool)
-        if live:
-            matrix[:live, :live] = take_submatrix(self._matrix, rows)
-            keywords[:live] = self._keywords[rows]
-        self._matrix = matrix
-        self._keywords = keywords
-        self._row_of = {tid: i for i, tid in enumerate(ids)}
-        self._capacity = live
-        self.compactions += 1
+        profiles = np.zeros((alloc, self._n_keywords), dtype=bool)
+        live = np.zeros(alloc, dtype=self._live.dtype)
+        matrix[:used, :used] = self._matrix[:used, :used]
+        profiles[:used] = self._profiles[:used]
+        live[:used] = self._live[:used]
+        self._matrix, self._profiles, self._live = matrix, profiles, live
 
     def _compact(self) -> None:
-        ids = list(self._row_of)
-        rows = np.fromiter(
-            (self._row_of[tid] for tid in ids), dtype=np.intp, count=len(ids)
-        )
-        self._matrix = take_submatrix(self._matrix, rows)
-        self._keywords = np.ascontiguousarray(self._keywords[rows])
-        self._row_of = {tid: i for i, tid in enumerate(ids)}
-        self._capacity = len(ids)
+        """Keep only live profiles, renumbered in order."""
+        keep = np.flatnonzero(self._live[: self.backing_rows])
+        renumber = np.full(self.backing_rows, -1, dtype=np.intp)
+        renumber[keep] = np.arange(len(keep))
+        renumber = renumber.tolist()
+        self._matrix = take_submatrix(self._matrix, keep)
+        self._profiles = self._profiles[keep]
+        self._live = self._live[keep]
+        self._profile_of_key = {
+            key: renumber[p]
+            for key, p in self._profile_of_key.items()
+            if renumber[p] >= 0
+        }
+        self._profile_of = {tid: renumber[p] for tid, p in self._profile_of.items()}
         self.compactions += 1
 
     def submatrix(self, task_ids: Sequence[str]) -> np.ndarray | None:
@@ -192,7 +198,7 @@ class IncrementalDiversityCache:
         """
         try:
             rows = np.fromiter(
-                (self._row_of[tid] for tid in task_ids),
+                (self._profile_of[tid] for tid in task_ids),
                 dtype=np.intp,
                 count=len(task_ids),
             )

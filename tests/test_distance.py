@@ -11,6 +11,7 @@ from repro.core.distance import (
     get_distance,
     hamming_distance,
     jaccard_distance,
+    keyword_profiles,
     pairwise_jaccard,
     pairwise_matrix,
     register_distance,
@@ -166,6 +167,35 @@ class TestPairwiseMatrices:
         dense = pairwise_jaccard(matrix)
         i, j = 17, 599
         assert dense[i, j] == pytest.approx(jaccard_distance(matrix[i], matrix[j]))
+
+
+class TestKeywordProfiles:
+    def test_profiles_reproduce_rows_and_carve(self):
+        rng = np.random.default_rng(4)
+        alphabet = rng.random((4, 11)) < 0.5
+        rows = alphabet[rng.integers(0, 4, size=30)]
+        profiles, profile = keyword_profiles(rows)
+        assert len(profiles) == len({r.tobytes() for r in rows})
+        assert np.array_equal(profiles[profile], rows)
+        # Numbered in order of first appearance.
+        assert profile[0] == 0 and (np.diff(np.maximum.accumulate(profile)) <= 1).all()
+        carved = pairwise_jaccard(profiles)[np.ix_(profile, profile)]
+        assert np.array_equal(carved, pairwise_jaccard(rows))
+
+    def test_known_index_returns_only_new_profiles(self):
+        a, b, c = np.eye(3, dtype=bool)
+        index: dict[bytes, int] = {}
+        keyword_profiles(np.stack([a, b]), index)
+        fresh, profile = keyword_profiles(np.stack([b, c, a, c]), index)
+        assert profile.tolist() == [1, 2, 0, 2]
+        assert np.array_equal(fresh, c[None, :])
+        assert len(index) == 3
+
+    def test_empty_inputs(self):
+        fresh, profile = keyword_profiles(np.zeros((0, 5), dtype=bool))
+        assert fresh.shape == (0, 5) and profile.shape == (0,)
+        fresh, profile = keyword_profiles(np.zeros((3, 0), dtype=bool))
+        assert fresh.shape == (1, 0) and profile.tolist() == [0, 0, 0]
 
 
 class TestDistanceSpec:

@@ -63,3 +63,48 @@ class TestHTAInstance:
         assert instance.n_tasks == 20
         assert instance.n_workers == 4
         assert instance.x_max == 3
+
+
+class TestProfileDiversity:
+    """``diversity`` is computed over distinct keyword profiles and carved
+    per task pair; it must equal the task-level matrix bit for bit."""
+
+    @staticmethod
+    def _instance(distance: str) -> HTAInstance:
+        from repro.core import DistanceSpec
+
+        rng = np.random.default_rng(11)
+        vocab = Vocabulary([f"k{i}" for i in range(8)])
+        alphabet = rng.random((5, 8)) < 0.4
+        alphabet[0] = False  # an empty keyword vector among the profiles
+        picks = rng.integers(0, len(alphabet), size=40)
+        tasks = TaskPool(
+            [Task(f"t{i}", alphabet[p]) for i, p in enumerate(picks)], vocab
+        )
+        workers = WorkerPool([Worker("w", alphabet[1])], vocab)
+        return HTAInstance(tasks, workers, 2, DistanceSpec(distance))
+
+    @pytest.mark.parametrize("distance", ["jaccard", "hamming", "angular"])
+    def test_matches_task_level_matrix(self, distance):
+        from repro.core.distance import pairwise_matrix
+
+        instance = self._instance(distance)
+        expected = pairwise_matrix(instance.tasks.matrix, distance)
+        assert np.array_equal(instance.diversity, expected)
+
+    def test_matches_task_level_matrix_for_registered_distance(self):
+        from repro.core.distance import (
+            idf_weights,
+            pairwise_matrix,
+            register_distance,
+            registered_distances,
+            weighted_jaccard_factory,
+        )
+
+        name = "idf-jaccard-profile-test"
+        base = self._instance("jaccard")
+        if name not in registered_distances():
+            register_distance(name, weighted_jaccard_factory(idf_weights(base.tasks.matrix)))
+        instance = self._instance(name)
+        expected = pairwise_matrix(instance.tasks.matrix, name)
+        assert np.array_equal(instance.diversity, expected)

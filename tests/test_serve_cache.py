@@ -5,7 +5,9 @@ hypothesis-generated interleaving of block appends and removals, every
 live submatrix must be *bit-identical* (``np.array_equal``, not allclose)
 to a ``pairwise_jaccard`` rebuild over the same keyword rows — growth and
 compaction move float64 entries around but never recompute them
-differently.
+differently.  The cache stores one row per distinct keyword profile, so
+``TestProfileCache`` draws vectors from a small alphabet to make profiles
+repeat, against the same task-level oracle.
 """
 
 import numpy as np
@@ -240,6 +242,151 @@ class TestCacheGrowth:
         assert np.array_equal(
             cache.submatrix(list(live)), _rebuild_oracle(live)
         )
+
+
+class TestProfileCache:
+    """Profile-level storage against a task-level oracle.
+
+    Vectors come from a small alphabet (the empty vector included), so
+    profiles repeat: arrivals reuse cached rows, removals take away some but
+    not all tasks of a profile, and compaction renumbers what survives.
+    The oracle is ``pairwise_jaccard`` over the live tasks' own vectors.
+    """
+
+    R = 6
+    ALPHABET = np.array(
+        [
+            [0, 0, 0, 0, 0, 0],
+            [1, 1, 0, 0, 0, 0],
+            [0, 1, 1, 1, 0, 0],
+            [0, 0, 0, 0, 1, 0],
+            [1, 0, 1, 0, 1, 1],
+        ],
+        dtype=bool,
+    )
+
+    def _pool(self, letters):
+        vocab = Vocabulary([f"k{i}" for i in range(self.R)])
+        return TaskPool(
+            [Task(f"t{i}", self.ALPHABET[a]) for i, a in enumerate(letters)], vocab
+        )
+
+    @staticmethod
+    def _assert_matches_oracle(cache, live):
+        assert len(cache) == len(live)
+        ids = list(live)
+        got = cache.submatrix(ids)
+        assert got is not None
+        if ids:
+            assert np.array_equal(got, pairwise_jaccard(np.vstack(list(live.values()))))
+        else:
+            assert got.shape == (0, 0)
+        distinct = len({np.asarray(v).tobytes() for v in live.values()})
+        assert distinct <= cache.backing_rows <= cache.allocated_rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        initial=st.lists(st.integers(0, 4), min_size=1, max_size=12),
+        threshold=st.sampled_from([0.0, 0.5, 0.9]),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), st.lists(st.integers(0, 4), min_size=1, max_size=6)),
+                st.tuples(st.just("remove"), st.lists(st.integers(0, 99), min_size=1, max_size=6)),
+                st.tuples(st.just("drain"), st.just([])),
+                st.tuples(st.just("duplicate"), st.lists(st.integers(0, 99), min_size=1, max_size=1)),
+            ),
+            max_size=15,
+        ),
+    )
+    def test_interleaving_matches_task_level_oracle(self, initial, threshold, ops):
+        pool = self._pool(initial)
+        cache = IncrementalDiversityCache(pool, compact_threshold=threshold)
+        live = {t.task_id: np.asarray(t.vector, dtype=bool) for t in pool}
+        counter = len(live)
+        for kind, args in ops:
+            if kind == "add":
+                batch = [Task(f"t{counter + j}", self.ALPHABET[a]) for j, a in enumerate(args)]
+                counter += len(batch)
+                cache.on_added(batch)
+                live.update((t.task_id, np.asarray(t.vector, dtype=bool)) for t in batch)
+            elif kind == "remove" and live:
+                ids = list(live)
+                drop = list(dict.fromkeys(ids[i % len(ids)] for i in args))
+                cache.on_removed(drop)
+                for tid in drop:
+                    live.pop(tid)
+            elif kind == "drain":
+                cache.on_removed(list(live))
+                live.clear()
+            elif kind == "duplicate" and live:
+                ids = list(live)
+                clash = ids[args[0] % len(ids)]
+                with pytest.raises(ValueError, match="already cached"):
+                    cache.on_added([Task(f"t{counter}", self.ALPHABET[1]), Task(clash, self.ALPHABET[2])])
+                assert f"t{counter}" not in cache
+            self._assert_matches_oracle(cache, live)
+            # Never more profile rows in use than distinct vectors ever seen.
+            assert cache.backing_rows <= len(self.ALPHABET)
+
+    def test_shared_profile_arrival_adds_no_row(self):
+        cache = IncrementalDiversityCache(self._pool([1, 2, 1, 0]))
+        rows, alloc = cache.backing_rows, cache.allocated_rows
+        assert rows == 3
+        cache.on_added([Task("n0", self.ALPHABET[2]), Task("n1", self.ALPHABET[0])])
+        assert (cache.backing_rows, cache.allocated_rows) == (rows, alloc)
+        assert cache.appends == 1
+
+    def test_removing_part_of_a_shared_profile_keeps_its_row(self):
+        pool = self._pool([1, 1, 1, 2])
+        cache = IncrementalDiversityCache(pool, compact_threshold=0.9)
+        cache.on_removed(["t0", "t1"])
+        assert cache.compactions == 0 and cache.backing_rows == 2
+        live = {t.task_id: t.vector for t in pool if t.task_id in ("t2", "t3")}
+        self._assert_matches_oracle(cache, live)
+        cache.on_removed(["t2"])  # the profile's last task: now it dies
+        assert cache.compactions == 1 and cache.backing_rows == 1
+        self._assert_matches_oracle(cache, {"t3": pool.by_id("t3").vector})
+
+    def test_dead_profile_row_is_reused_before_compaction(self):
+        cache = IncrementalDiversityCache(self._pool([1, 2, 3, 4]), compact_threshold=0.0)
+        cache.on_removed(["t0"])
+        cache.on_added([Task("back", self.ALPHABET[1])])
+        assert cache.backing_rows == 4
+        live = {f"t{i}": self.ALPHABET[a] for i, a in ((1, 2), (2, 3), (3, 4))}
+        live["back"] = self.ALPHABET[1]
+        self._assert_matches_oracle(cache, live)
+
+    def test_all_distinct_pool_compacts_profiles(self):
+        """Every task its own profile: removals kill profiles and force
+        compaction; appends of new profiles grow the buffer geometrically."""
+        rng = np.random.default_rng(5)
+        R = 24
+        vocab = Vocabulary([f"k{i}" for i in range(R)])
+        vectors = np.unique(rng.random((90, R)) < 0.4, axis=0)[:60]
+        rng.shuffle(vectors)
+        tasks = [Task(f"d{i}", v) for i, v in enumerate(vectors[:40])]
+        cache = IncrementalDiversityCache(TaskPool(tasks, vocab))
+        live = {t.task_id: t.vector for t in tasks}
+        assert cache.backing_rows == 40
+        drop = [f"d{i}" for i in range(25)]
+        cache.on_removed(drop)
+        for tid in drop:
+            live.pop(tid)
+        assert cache.compactions == 1
+        assert cache.backing_rows == cache.allocated_rows == 15
+        self._assert_matches_oracle(cache, live)
+        arrivals = [Task(f"d{40 + i}", v) for i, v in enumerate(vectors[40:])]
+        cache.on_added(arrivals)
+        live.update((t.task_id, t.vector) for t in arrivals)
+        assert cache.backing_rows == 35 and cache.allocated_rows >= 35
+        self._assert_matches_oracle(cache, live)
+        # Growth must carry the survivors' live counts: removing the
+        # arrivals now kills only their profiles.
+        cache.on_removed([t.task_id for t in arrivals])
+        for task in arrivals:
+            live.pop(task.task_id)
+        assert cache.compactions == 2 and cache.backing_rows == 15
+        self._assert_matches_oracle(cache, live)
 
 
 class TestServiceIntegration:
