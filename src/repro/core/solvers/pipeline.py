@@ -7,7 +7,8 @@ auxiliary LSAP (line 11) is solved:
 2. *matching* — a (greedy) maximum-weight matching ``M_B`` on the diversity
    graph ``B``;
 3. *profits* — the auxiliary LSAP profit matrix
-   ``f[k, l] = bM(t_k) * degA_l + c[k, l]`` (line 10);
+   ``f[k, l] = bM(t_k) * degA_l + c[k, l]`` (line 10), with its rows
+   shuffled and, by default, cut to the clique columns;
 4. *lsap* — solve the LSAP: Hungarian for HTA-APP, greedy for HTA-GRE.
    By default only the ``|W| * x_max`` clique columns enter the solver, as
    a rectangular ``(|W| * x_max) x |T|`` problem: ``f`` is identically zero
@@ -17,11 +18,13 @@ auxiliary LSAP (line 11) is solved:
    optimum.  The unplaced tasks then take the interchangeable isolated
    vertices in ascending order.  ``lsap_shape="square"`` keeps the paper's
    formulation (the Fig. 2/3 reproduction times it);
-5. *swap + decode* — per matched edge, swap the two tasks' vertices with
+5. *swap + decode* — place the LSAP's answer back into a vertex
+   permutation, per matched edge swap the two tasks' vertices with
    probability 1/2 (lines 12-16), then read off ``T_wq`` via Eq. 7.
 
 Phase timings are recorded so the Fig. 2a bench can report the
-Matching/Lsap split exactly as the paper does.
+Matching/Lsap split exactly as the paper does; ``lsap`` times the
+:func:`~repro.matching.lsap.solve_lsap` call alone.
 """
 
 from __future__ import annotations
@@ -98,9 +101,6 @@ def run_qap_pipeline(
 
     start = time.perf_counter()
     profits = encoding.profit_matrix(matched_weight)
-    timings["profits"] = time.perf_counter() - start
-
-    start = time.perf_counter()
     # Randomize the LSAP's tie-breaking by relabeling the rows.  Clustered
     # pools (AMT task groups) make the profits massively tied: when the
     # diversity matching saturates, f[k, l] barely depends on k, and a
@@ -109,15 +109,31 @@ def run_qap_pipeline(
     # even a random deal.  The guarantee holds for every fixed labeling, so
     # it also holds in expectation over a uniform one.
     row_order = generator.permutation(encoding.n_vertices)
+    n_clique = encoding.n_workers * encoding.x_max
     if lsap_shape == "square":
-        shuffled = solve_lsap(profits[row_order], lsap_method).row_to_col
-        base_permutation = np.empty(encoding.n_vertices, dtype=np.intp)
-        base_permutation[row_order] = shuffled
+        lsap_profits = profits[row_order]
     else:
-        base_permutation = _clique_lsap(encoding, profits, row_order, lsap_method)
+        # Clique columns become rows and the shuffled tasks columns, so
+        # n_rows <= n_cols holds.
+        lsap_profits = np.ascontiguousarray(profits[row_order, :n_clique].T)
+    timings["profits"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    row_to_col = solve_lsap(lsap_profits, lsap_method).row_to_col
     timings["lsap"] = time.perf_counter() - start
 
     start = time.perf_counter()
+    if lsap_shape == "square":
+        base_permutation = np.empty(encoding.n_vertices, dtype=np.intp)
+        base_permutation[row_order] = row_to_col
+    else:
+        # Clique vertex c takes task row_order[row_to_col[c]]; the unplaced
+        # tasks take the isolated vertices in ascending task order.
+        base_permutation = np.full(encoding.n_vertices, -1, dtype=np.intp)
+        base_permutation[row_order[row_to_col]] = np.arange(n_clique)
+        base_permutation[base_permutation < 0] = np.arange(
+            n_clique, encoding.n_vertices
+        )
     permutation, qap_value = _best_swap(
         encoding, base_permutation, matching, generator, n_swap_samples
     )
@@ -177,28 +193,6 @@ def _matched_edge_weights(
         weights[i] = w
         weights[j] = w
     return weights
-
-
-def _clique_lsap(
-    encoding: QAPEncoding,
-    profits: np.ndarray,
-    row_order: np.ndarray,
-    lsap_method: str,
-) -> np.ndarray:
-    """Solve the LSAP over the clique columns; return the vertex of each task.
-
-    Clique columns become rows and the shuffled tasks become columns, so
-    ``n_rows <= n_cols`` holds.  Clique vertex ``c`` takes task
-    ``row_order[row_to_col[c]]``; the unplaced tasks take the isolated
-    vertices ``n_clique..n-1`` in ascending task order.
-    """
-    n_clique = encoding.n_workers * encoding.x_max
-    clique_profits = np.ascontiguousarray(profits[row_order, :n_clique].T)
-    placed = row_order[solve_lsap(clique_profits, lsap_method).row_to_col]
-    permutation = np.full(encoding.n_vertices, -1, dtype=np.intp)
-    permutation[placed] = np.arange(n_clique)
-    permutation[permutation < 0] = np.arange(n_clique, encoding.n_vertices)
-    return permutation
 
 
 def _best_swap(

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.adaptive import MotivationEstimator, observe_gains
-from ..core.assignment import Assignment
 from ..core.distance import pairwise_jaccard
 from ..core.instance import HTAInstance
 from ..core.solvers import get_solver
@@ -258,7 +257,7 @@ class AssignmentService:
     ):
         self._vocabulary = pool.vocabulary
         self._strategy = strategy
-        self._solver = get_solver(strategy)
+        get_solver(strategy)  # an unknown strategy fails here, not at a solve
         self._config = config or ServiceConfig()
         self._estimator = estimator or MotivationEstimator()
         # Optional bandit over solve-time weights (repro.core.bandit);
@@ -270,7 +269,6 @@ class AssignmentService:
         # leaves the pool but its id must never be re-admittable.
         self._corpus_ids = frozenset(task.task_id for task in pool)
         self._diversity_provider: DiversityProvider | None = None
-        self._solver_provider: "Callable[[], object] | None" = None
         self._reputation_provider: "Callable[[str], float] | None" = None
         self._workers: dict[str, Worker] = {}
         self._displays: dict[str, _Display] = {}
@@ -331,18 +329,6 @@ class AssignmentService:
         """
         self._diversity_provider = provider
 
-    def set_solver_provider(
-        self, provider: "Callable[[], object] | None"
-    ) -> None:
-        """Let each solve pick its solver dynamically.
-
-        The serving layer's degradation controller uses this to swap in a
-        cheaper solver under overload; ``None`` restores the configured
-        strategy's solver.  The provider returns any object with
-        ``solve(instance, rng) -> SolveResult``.
-        """
-        self._solver_provider = provider
-
     def set_reputation_provider(
         self, provider: "Callable[[str], float] | None"
     ) -> None:
@@ -402,22 +388,32 @@ class AssignmentService:
     # -- lifecycle -------------------------------------------------------------
 
     def register_worker(
-        self, worker: Worker, wall_time: float = 0.0
+        self,
+        worker: Worker,
+        wall_time: float = 0.0,
+        solver_name: str | None = None,
     ) -> TasksAssigned:
-        """A new worker enters a session; give her the first display."""
-        if worker.worker_id in self._workers:
-            raise SimulationError(f"worker {worker.worker_id!r} already registered")
-        self._workers[worker.worker_id] = worker
-        self._iterations[worker.worker_id] = 0
-        if self.is_adaptive:
-            # Cold start: no observations yet, deal x_max random tasks.
-            assigned = self._draw_random(self._config.x_max)
-        else:
-            solved = self._solve_for([worker.worker_id])
-            assigned = solved.get(worker.worker_id, [])
-            if not assigned:  # pool too small for a solve; fall back to random
-                assigned = self._draw_random(self._config.x_max)
-        return self._install_display(worker.worker_id, assigned, wall_time, 0.0)
+        """A new worker enters a session; give them the first display.
+
+        The adaptive strategies deal ``x_max`` random tasks (a cold start:
+        no observations yet).  The fixed-weight ones solve a one-worker
+        iteration through :meth:`reassign_workers` with ``solver_name``
+        (default: the strategy's own solver), falling back to random tasks
+        if the solve leaves them empty-handed.
+        """
+        worker_id = worker.worker_id
+        if worker_id in self._workers:
+            raise SimulationError(f"worker {worker_id!r} already registered")
+        self._workers[worker_id] = worker
+        self._iterations[worker_id] = 0
+        if not self.is_adaptive:
+            solved = self.reassign_workers(
+                [worker_id], wall_time, {worker_id: 0.0}, solver_name
+            )
+            if worker_id in solved:
+                return solved[worker_id]
+        assigned = self._draw_random(self._config.x_max)
+        return self._install_display(worker_id, assigned, wall_time, 0.0)
 
     def unregister_worker(self, worker_id: str) -> bool:
         """Session over; displayed-but-pending tasks stay dropped (paper).
@@ -541,34 +537,22 @@ class AssignmentService:
         worker_ids: Sequence[str],
         wall_time: float,
         session_times: dict[str, float] | None = None,
+        solver_name: str | None = None,
     ) -> dict[str, TasksAssigned]:
         """Run one assignment iteration for an explicit worker batch.
 
-        This is the micro-batching seam the serving layer's solve scheduler
-        drives: all ``worker_ids`` are solved together in a single HTA call,
-        each receives its new display, and the installed events are returned
-        keyed by worker.  Workers the solver leaves empty-handed fall back to
-        random draws; workers for whom nothing at all is left are omitted
-        from the result (their current display stands).
-
-        Workers that unregistered after being queued — a session can end
-        while its reassignment sits in a scheduler batch — are silently
-        dropped from the batch rather than failing the solve for everyone.
+        The iteration the daemon runs, back to back: :meth:`prepare_solve`,
+        :func:`execute_prepared`, :meth:`commit_solve`.  All live
+        ``worker_ids`` are solved together in a single HTA call and the
+        installed events are returned keyed by worker; see
+        :meth:`commit_solve` for the fallback to random draws and for which
+        workers are omitted.
         """
-        times = session_times or {}
-        worker_ids = [w for w in worker_ids if w in self._workers]
-        solved = self._solve_for(list(worker_ids))
-        events: dict[str, TasksAssigned] = {}
-        for w in worker_ids:
-            assigned = solved.get(w, [])
-            if not assigned and self.remaining_tasks() > 0:
-                assigned = self._draw_random(self._config.x_max)
-            if not assigned:
-                continue
-            events[w] = self._install_display(
-                w, assigned, wall_time, times.get(w, -1.0)
-            )
-        return events
+        prepared = self.prepare_solve(worker_ids, solver_name)
+        if prepared is None:
+            return {}
+        assigned = execute_prepared(prepared)
+        return self.commit_solve(prepared, assigned, wall_time, session_times)
 
     # -- prepare / commit solve seam -------------------------------------------
 
@@ -585,11 +569,12 @@ class AssignmentService:
         pool exactly as it was.
 
         Returns ``None`` when there is nothing to solve (no live workers in
-        the batch, or an empty pool).  :meth:`reassign_workers` is untouched
-        by this seam — it keeps its own RNG discipline; here the solver's
-        stream is a fresh seed drawn from the service RNG, so the solve is
-        a pure function of the prepared candidates and replays from the
-        journal alone.
+        the batch, or an empty pool).  The solver's stream is a fresh seed
+        drawn from the service RNG, so the solve is a pure function of the
+        prepared candidates and replays from the journal alone.  This is
+        the one way the service runs an iteration: the daemon journals each
+        step, and :meth:`reassign_workers` (the simulator, and registration
+        under a fixed-weight strategy) runs the three back to back.
         """
         live = [w for w in worker_ids if w in self._workers]
         if not live:
@@ -633,11 +618,11 @@ class AssignmentService:
         cache) hear about exactly the tasks that actually left.  Only ids
         still in the pool are installed, which is the C1/C2 guard: a task
         an earlier commit or pad draw already took is never shown twice.
-        Fallback and display semantics match :meth:`reassign_workers`:
-        empty-handed workers draw random tasks while any remain, workers
-        with nothing at all are omitted, and the assignments of workers
-        that unregistered mid-solve stay in the pool.  Runs synchronously —
-        no awaits — so a commit is atomic with respect to the event loop.
+        Empty-handed workers draw random tasks while any remain, workers
+        with nothing at all are omitted (their current display stands), and
+        the assignments of workers that unregistered mid-solve stay in the
+        pool.  Runs synchronously — no awaits — so a commit is atomic with
+        respect to the event loop.
         """
         times = session_times or {}
         events: dict[str, TasksAssigned] = {}
@@ -886,37 +871,6 @@ class AssignmentService:
     def _draw_random(self, count: int) -> list[Task]:
         """Draw up to ``count`` random tasks, removing them from the pool."""
         return self._pool_state.draw_random(count)
-
-    def _solve_for(self, worker_ids: list[str]) -> dict[str, list[Task]]:
-        """Solve HTA for ``worker_ids`` over the remaining pool."""
-        candidates = self._pool_state.shortlist(self._config.candidate_cap)
-        if not candidates or not worker_ids:
-            return {}
-        tasks = TaskPool(candidates, self._vocabulary)
-        workers = WorkerPool(
-            (
-                self._workers[w].with_weights(self.solve_weights_of(w))
-                for w in worker_ids
-            ),
-            self._vocabulary,
-        )
-        instance = HTAInstance(tasks, workers, self._config.x_max)
-        if self._diversity_provider is not None:
-            cached = self._diversity_provider([t.task_id for t in candidates])
-            if cached is not None:
-                instance.prime(diversity=cached)
-        solver = (
-            self._solver_provider() if self._solver_provider is not None
-            else self._solver
-        )
-        result = solver.solve(instance, self._rng)
-        assignment: Assignment = result.assignment
-        out: dict[str, list[Task]] = {}
-        for w in worker_ids:
-            ids = assignment.tasks_of(w)
-            out[w] = [tasks.by_id(tid) for tid in ids]
-            self._pool_state.remove(ids)
-        return out
 
     @staticmethod
     def _display_matrices(

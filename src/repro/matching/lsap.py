@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInstanceError
-from ..perf.lsap_kernels import hungarian_min_rect
 
 #: Brute force explores n! permutations; 9! = 362,880 keeps tests fast.
 MAX_BRUTE_FORCE_ROWS = 9
@@ -86,10 +85,9 @@ def hungarian(profit: np.ndarray) -> LSAPSolution:
     Runs the textbook Hungarian algorithm with row/column potentials on the
     negated matrix (max-profit == min-cost), one augmentation per row, so a
     rectangle costs ``O(n_rows^2 n_cols)``.  The search is
-    :func:`~repro.perf.lsap_kernels.hungarian_min_rect`, which keeps
-    incremental search state; :func:`_hungarian_min_reference` rebuilds it
-    with index arrays and is the oracle the tests and
-    ``benchmarks/bench_kernels.py`` hold it to.  Both break ties
+    :func:`hungarian_min_rect`, which keeps incremental search state;
+    :func:`_hungarian_min_reference` rebuilds it with index arrays and is
+    the oracle the tests and ``benchmarks/bench_kernels.py`` hold it to.  Both break ties
     identically, so they return the same assignment on every input.
 
     >>> hungarian(np.array([[4., 1.], [2., 3.]])).value
@@ -98,6 +96,77 @@ def hungarian(profit: np.ndarray) -> LSAPSolution:
     matrix = _check_profit(profit)
     row_to_col = hungarian_min_rect(-matrix)
     return LSAPSolution(row_to_col, _value(matrix, row_to_col))
+
+
+def hungarian_min_rect(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost assignment of every row of a rectangular cost matrix.
+
+    The dual-potential search of :func:`_hungarian_min_reference`, one
+    augmentation per row, with incremental state in place of the
+    reference's per-step index arrays: the visited-column list grows in
+    place and the frontier argmin is one masked ``argmin`` over the
+    columns.  It visits columns in the reference order with the same
+    first-minimum tie-breaking, so the two return the same assignment
+    entry for entry.
+
+    Args:
+        cost: ``(n_rows, n_cols)`` float matrix with ``n_rows <= n_cols``
+            and finite entries (callers validate).
+
+    Returns:
+        ``row_to_col`` of shape ``(n_rows,)`` — distinct columns minimizing
+        the total cost.
+    """
+    cost = np.ascontiguousarray(cost, dtype=np.float64)
+    n_rows, n_cols = cost.shape
+    if n_rows > n_cols:
+        raise ValueError(f"need n_rows <= n_cols, got shape {cost.shape}")
+    if n_rows == 0:
+        return np.empty(0, dtype=np.intp)
+    u = np.zeros(n_rows + 1)
+    v = np.zeros(n_cols + 1)
+    p = np.zeros(n_cols + 1, dtype=np.intp)  # column -> matched row (1-based)
+    way = np.zeros(n_cols + 1, dtype=np.intp)
+    visited = np.empty(n_cols + 1, dtype=np.intp)
+    for i in range(1, n_rows + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n_cols + 1, np.inf)
+        inner_minv = minv[1:]
+        used = np.zeros(n_cols + 1, dtype=bool)
+        free = np.ones(n_cols, dtype=bool)
+        n_visited = 0
+        while True:
+            used[j0] = True
+            if j0:
+                free[j0 - 1] = False
+            visited[n_visited] = j0
+            n_visited += 1
+            i0 = p[j0]
+            # Reduced cost of extending the path through column j0's row.
+            cur = cost[i0 - 1] - u[i0] - v[1:]
+            better = free & (cur < inner_minv)
+            inner_minv[better] = cur[better]
+            way[1:][better] = j0
+            frontier = np.where(free, inner_minv, np.inf)
+            j1_offset = int(frontier.argmin())
+            delta = frontier[j1_offset]
+            # Update potentials: matched part shifts by delta, frontier shrinks.
+            path_cols = visited[:n_visited]
+            u[p[path_cols]] += delta
+            v[path_cols] -= delta
+            inner_minv[free] -= delta
+            j0 = j1_offset + 1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    row_to_col = np.empty(n_rows, dtype=np.intp)
+    matched = np.flatnonzero(p[1:])
+    row_to_col[p[1:][matched] - 1] = matched
+    return row_to_col
 
 
 def _hungarian_min_reference(cost: np.ndarray) -> np.ndarray:

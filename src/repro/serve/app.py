@@ -176,7 +176,6 @@ class AssignmentDaemon:
             self.config.resilience,
             self.registry,
         )
-        self.service.set_solver_provider(self.degradation.solver)
         self.fault: FaultInjector | None = (
             FaultInjector(self.config.fault_plan, self.registry)
             if self.config.fault_plan is not None
@@ -724,7 +723,9 @@ class AssignmentDaemon:
         try:
             with trace.span("register"):
                 event = self.service.register_worker(
-                    Worker(worker_id, vector), self._wall_time()
+                    Worker(worker_id, vector),
+                    self._wall_time(),
+                    solver_name=self.degradation.strategy,
                 )
         except SimulationError as exc:
             raise HttpError(409, str(exc)) from None

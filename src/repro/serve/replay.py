@@ -62,7 +62,6 @@ from ..crowd.service import (
     ServiceConfig,
     execute_prepared,
 )
-from ..core.solvers import get_solver
 from ..errors import ReproError
 
 #: Bump on any change to the journal line format or to what a replay of the
@@ -72,7 +71,10 @@ from ..errors import ReproError
 #: order, so later random draws differ from a version-1 run.  Version 3
 #: solves the auxiliary LSAP over the clique columns only: the optimum is
 #: the same, but tie-broken task choices differ from a version-2 run.
-JOURNAL_VERSION = 3
+#: Version 4 registers a worker under a fixed-weight strategy through a
+#: prepared solve, which draws its solver seed from the service RNG, so
+#: every later random draw differs from a version-3 run.
+JOURNAL_VERSION = 4
 
 #: Required fields per event type (beyond ``type`` and ``seq``); an event
 #: with a missing field or an unknown type is schema drift and fails load.
@@ -875,18 +877,13 @@ def _apply_register(
     vector = np.zeros(n_keywords, dtype=bool)
     if event["interest"]:
         vector[np.asarray(event["interest"], dtype=int)] = True
-    solver_name = variant.pinned_solver or event["solver"]
-    if solver_name != service.strategy:
-        # The live daemon registers through the degradation controller's
-        # active tier; reproduce that (or the pinned override) here.
-        service.set_solver_provider(lambda: get_solver(solver_name))
-    try:
-        replayed = service.register_worker(
-            Worker(event["worker_id"], vector),
-            wall_time=recorded["wall_time"],
-        )
-    finally:
-        service.set_solver_provider(None)
+    # The live daemon registers on the degradation controller's active
+    # tier; reproduce that (or the pinned override) here.
+    replayed = service.register_worker(
+        Worker(event["worker_id"], vector),
+        wall_time=recorded["wall_time"],
+        solver_name=variant.pinned_solver or event["solver"],
+    )
     report.registers += 1
     trace_ids = (event["trace_id"],) if event.get("trace_id") else None
     mismatch = _first_mismatch(recorded, event_payload(replayed))

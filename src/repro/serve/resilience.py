@@ -121,7 +121,9 @@ class DegradationController:
     ):
         if not ladder:
             raise ValueError("the degradation ladder cannot be empty")
-        self._ladder = [(name, get_solver(name)) for name in ladder]
+        for name in ladder:
+            get_solver(name)  # an unknown rung fails here, not at a solve
+        self._ladder = tuple(ladder)
         self._config = config
         self._tier = 0
         self._breaches = 0
@@ -144,15 +146,11 @@ class DegradationController:
     @property
     def strategy(self) -> str:
         """Name of the solver serving the active tier."""
-        return self._ladder[self._tier][0]
+        return self._ladder[self._tier]
 
     @property
     def ladder(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._ladder)
-
-    def solver(self):
-        """The :class:`~repro.core.solvers.base.Solver` of the active tier."""
-        return self._ladder[self._tier][1]
+        return self._ladder
 
     def observe_solve(self, seconds: float) -> None:
         """Feed one solve's wall time into the breach/health streaks."""

@@ -20,8 +20,12 @@ from repro.core.distance import jaccard_distance, keyword_intersections, pairwis
 from repro.core.qap import build_encoding
 from repro.experiments import build_offline_instance
 from repro.matching.greedy import greedy_matching_dense
-from repro.matching.lsap import _hungarian_min_reference, brute_force_lsap, hungarian
-from repro.perf.lsap_kernels import hungarian_min_rect
+from repro.matching.lsap import (
+    _hungarian_min_reference,
+    brute_force_lsap,
+    hungarian,
+    hungarian_min_rect,
+)
 
 #: Keyword-space widths: empty, and either side of the 64-bit boundaries.
 WIDTHS = (0, 1, 7, 63, 64, 65, 130)

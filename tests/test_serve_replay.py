@@ -33,7 +33,7 @@ from repro.serve.replay import (
     load_journal,
     replay_journal,
 )
-from repro.serve.resilience import FaultPlan
+from repro.serve.resilience import FaultPlan, ResilienceConfig
 
 N_KEYWORDS = 16
 
@@ -350,6 +350,50 @@ class TestBitIdentity:
         report = replay_journal(load_journal(journal), make_pool())
         assert report.ok and report.state_verified, report.to_dict()
         assert report.solves_abandoned == types.count("abandon")
+
+    def test_degraded_fixed_weight_registrations_replay_clean(self, tmp_path):
+        """Under a fixed-weight strategy a registration is a solve on the
+        controller's active tier: workers that arrive after the daemon
+        degraded are registered on a cheaper tier, and replay must
+        register them on the tier the journal names."""
+        journal = tmp_path / "div.jsonl"
+
+        async def scenario():
+            daemon = AssignmentDaemon(
+                make_pool(),
+                serve_config(
+                    journal_path=str(journal),
+                    strategy="hta-gre-div",
+                    # Every solve is over budget, so each one degrades a tier.
+                    resilience=ResilienceConfig(
+                        solve_budget=1e-9, breach_threshold=1
+                    ),
+                ),
+            )
+            await daemon.start()
+            client = HttpClient("127.0.0.1", daemon.port)
+            try:
+                await drive_session(client, n_workers=2, rounds=4)
+                for wid in ("late0", "late1"):
+                    status, body = await client.request(
+                        "POST", "/workers", {"worker_id": wid, "keywords": ["k3"]}
+                    )
+                    assert status == 200, body
+            finally:
+                await client.close()
+                await daemon.stop()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+        loaded = load_journal(journal)
+        tiers = {
+            e["worker_id"]: e["solver"]
+            for e in loaded.events
+            if e["type"] == "register"
+        }
+        assert tiers["w0"] == "hta-gre-div"
+        assert tiers["late0"] != "hta-gre-div"
+        report = replay_journal(loaded, make_pool())
+        assert report.ok and report.state_verified, report.to_dict()
 
     def test_tampered_commit_pinpoints_divergence(self, recorded, tmp_path):
         def corrupt(record):

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import Task, TaskPool, Vocabulary
 from repro.crowd.service import ServiceConfig
+from repro.errors import UnknownSolverError
 from repro.serve.app import SNAPSHOT_KIND, AssignmentDaemon, ServeConfig
 from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.serve.metrics import MetricsRegistry
@@ -167,6 +168,10 @@ class TestDegradationLadder:
             ResilienceConfig(recovery_threshold=0)
         with pytest.raises(ValueError):
             DegradationController((), ResilienceConfig(), MetricsRegistry())
+        with pytest.raises(UnknownSolverError, match="nope"):
+            DegradationController(
+                ("hta-gre", "nope"), ResilienceConfig(), MetricsRegistry()
+            )
 
 
 # -- unit: fault plans --------------------------------------------------------

@@ -1,5 +1,7 @@
 """Assignment-service tests: the Fig. 4 workflow invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,40 @@ class TestRegistration:
         event = service.register_worker(make_worker(vocab), 0.0)
         assert len(event.task_ids) == 4
         assert event.alpha == 0.0 and event.beta == 1.0
+
+    @pytest.mark.parametrize(
+        "strategy, solver_name, expected",
+        [
+            ("hta-gre-div", "greedy-relevance", "greedy-relevance"),
+            ("hta-gre-div", None, "hta-gre-div"),
+            ("hta-gre", "greedy-relevance", None),
+        ],
+    )
+    def test_registration_solves_on_the_given_tier(
+        self, pool, vocab, strategy, solver_name, expected
+    ):
+        """A fixed-weight registration is one prepared solve on
+        ``solver_name`` (default: the strategy); an adaptive one solves
+        nothing."""
+        service = AssignmentService(pool, strategy, SMALL_CONFIG, rng=0)
+        solved = []
+
+        def spy(prepared):
+            assigned = execute_prepared(prepared)
+            solved.append((prepared.solver_name, assigned))
+            return assigned
+
+        with mock.patch("repro.crowd.service.execute_prepared", spy):
+            event = service.register_worker(
+                make_worker(vocab), 0.0, solver_name=solver_name
+            )
+        if expected is None:
+            assert solved == []
+            return
+        [(name, assigned)] = solved
+        assert name == expected
+        assert event.task_ids == assigned["w0"]
+        assert event.session_time == 0.0 and event.iteration == 0
 
     def test_double_registration_rejected(self, pool, vocab):
         service = AssignmentService(pool, "hta-gre", SMALL_CONFIG, rng=0)
@@ -352,6 +388,33 @@ class TestBatchReassignment:
             for tid in tuple(e.task_ids) + tuple(e.random_pad_ids)
         ]
         assert len(all_ids) == len(set(all_ids))  # C2 within the batch
+
+    @pytest.mark.parametrize("strategy", ["hta-gre", "hta-gre-div"])
+    def test_reassign_workers_is_prepare_execute_commit(self, pool, strategy):
+        """The simulator's iteration is the daemon's three steps run back to
+        back: a twin service driven step by step installs the same events
+        and leaves the same pool and RNG position."""
+        config = dict(x_max=4, n_random_pad=2, reassign_after=2, min_pending=1)
+        twins = []
+        for _ in range(2):
+            service = AssignmentService(
+                pool, strategy, ServiceConfig(**config), rng=0
+            )
+            rng = np.random.default_rng(9)
+            for i in range(3):
+                worker = Worker(f"w{i}", rng.random(len(pool.vocabulary)) < 0.3)
+                service.register_worker(worker, 0.0)
+            twins.append(service)
+        batch, times = ["w0", "w2", "ghost"], {"w2": 7.5}
+        events = twins[0].reassign_workers(batch, 3.0, times, "hta-gre-rel")
+        prepared = twins[1].prepare_solve(batch, "hta-gre-rel")
+        assert prepared.worker_ids == ["w0", "w2"]
+        expected = twins[1].commit_solve(
+            prepared, execute_prepared(prepared), 3.0, times
+        )
+        assert events == expected and sorted(events) == ["w0", "w2"]
+        assert twins[0].pool_state.task_ids() == twins[1].pool_state.task_ids()
+        assert twins[0].snapshot_state() == twins[1].snapshot_state()
 
     def test_pool_state_notifies_removal_listeners(self, pool, vocab):
         service = AssignmentService(pool, "hta-gre", SMALL_CONFIG, rng=0)

@@ -1,5 +1,7 @@
 """HTA solver tests: validity, determinism, approximation quality, registry."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,9 +203,11 @@ class TestLsapShape:
         profits = encoding.profit_matrix(weights)
         assert not profits[:, n_clique:].any()
 
-        row_order = np.random.default_rng(seed).permutation(n)
-        square = solve_lsap(profits[row_order], "hungarian").value
-        permutation = pipeline._clique_lsap(encoding, profits, row_order, "hungarian")
+        square = solve_lsap(profits, "hungarian").value
+        # The pipeline's clique-shape permutation before the swap step.
+        with mock.patch.object(pipeline, "_best_swap", wraps=pipeline._best_swap) as swap:
+            run_qap_pipeline(instance, "hungarian", rng=seed)
+        permutation = swap.call_args.args[1]
         assert sorted(permutation.tolist()) == list(range(n))
         clique = float(profits[np.arange(n), permutation].sum())
         assert clique == pytest.approx(square, rel=1e-9, abs=1e-9)
