@@ -27,22 +27,20 @@ def test_fig3_response_time(benchmark, solver_name, n_groups):
 
 
 def test_fig3_series(report):
-    points = []
-    for n_groups in GROUP_SWEEP:
-        instance = cached_instance(N_TASKS_FIXED, N_WORKERS, n_groups=n_groups)
-        for solver_name in ("hta-app", "hta-gre"):
-            points.append(measure_point(solver_name, instance, n_repeats=1, rng=0))
+    instances = [
+        cached_instance(N_TASKS_FIXED, N_WORKERS, n_groups=n) for n in GROUP_SWEEP
+    ]
+    # HTA-GRE's points are measured back to back, as in Fig. 2c: host speed
+    # drifts over the seconds HTA-APP's solves take.
+    gre = [measure_point("hta-gre", instance, rng=0) for instance in instances]
+    app = [measure_point("hta-app", instance, rng=0) for instance in instances]
     report(
         format_table(
             ROW_HEADERS,
-            [p.row() for p in points],
+            [p.row() for pair in zip(app, gre) for p in pair],
             title=f"Fig. 3: response time vs #task groups (|T| = {N_TASKS_FIXED})",
         )
     )
-    by_solver = {}
-    for p in points:
-        by_solver.setdefault(p.solver, []).append(p)
-    app, gre = by_solver["hta-app"], by_solver["hta-gre"]
     # Shape 1: HTA-GRE faster at every diversity level.
     assert all(g.total_time < a.total_time for a, g in zip(app, gre))
     # Shape 2: HTA-GRE's runtime is insensitive to task diversity (small

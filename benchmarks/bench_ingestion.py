@@ -41,7 +41,7 @@ import time
 import numpy as np
 
 from repro.core import Task, TaskPool, Vocabulary
-from repro.core.distance import pairwise_jaccard
+from repro.core.distance import pairwise_jaccard, take_submatrix
 from repro.data import CrowdFlowerConfig, generate_crowdflower_corpus
 from repro.serve.cache import IncrementalDiversityCache
 from repro.serve.loadgen import LoadgenConfig, run_self_contained
@@ -109,8 +109,8 @@ def _append_trial(pool, batches: list[list[Task]]) -> dict:
     ids = [t.task_id for t in pool] + [
         t.task_id for batch in batches for t in batch
     ]
-    cached = cache.submatrix(ids)
-    bit_identical = cached is not None and np.array_equal(cached, oracle)
+    pair = cache.submatrix(ids)
+    bit_identical = pair is not None and np.array_equal(take_submatrix(*pair), oracle)
     return {
         "cached_rows": len(pool),
         "profiles": cache.backing_rows,

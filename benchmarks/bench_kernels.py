@@ -1,6 +1,6 @@
 """Hot-path kernels vs their reference implementations.
 
-Times the two hot-path kernels against the original implementations they
+Times the hot-path kernels against the original implementations they
 replaced, on serving-path shapes:
 
 * **Jaccard** — ``pairwise_jaccard`` (one float64 BLAS product per block)
@@ -14,6 +14,12 @@ replaced, on serving-path shapes:
   workers against many candidate tasks).  Both run one augmentation per
   row, so the ratio is the bookkeeping win; assignments are checked
   identical, row for row, while timing.
+* **Greedy matching** — ``greedy_matching_dense`` walking keyword-profile
+  pairs (the pipeline's call) vs the same walk with ``profile=None``,
+  which is the task-pair walk it replaced, on a Fig. 2 instance (|T|=400
+  in 20-task groups, |W|=20, x_max=5).  Tie order differs, so the outputs
+  are checked to be matchings, the profile walk's weight at least half the
+  task walk's (both are greedy, so both reach half the optimum).
 
 All committed numbers are *speedup ratios* (reference time / kernel time),
 so the baseline is machine-portable; each is taken from the unrounded
@@ -34,6 +40,8 @@ import time
 import numpy as np
 
 from repro.core.distance import pairwise_jaccard
+from repro.experiments import build_offline_instance
+from repro.matching.greedy import greedy_matching_dense, is_matching, matching_weight
 from repro.matching.lsap import _hungarian_min_reference, hungarian
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_kernels.json"
@@ -42,6 +50,8 @@ JACCARD_SQUARE = (1500, 400)  # (tasks, keywords): pool-scale diversity matrix
 JACCARD_CROSS = (40, 1500, 400)  # workers x tasks relevance block
 LSAP_SQUARE = 300
 LSAP_RECT = (40, 400)  # workers x candidate tasks, the serving-path shape
+MATCHING_SHAPE = (400, 20, 20, 5)  # tasks, tasks per group, workers, x_max
+MATCHING_CALLS = 20  # walks per timed sample: one walk is ~1 ms
 REPEATS = 3
 
 #: Ratio metrics CI compares against the committed baseline (>25% fails);
@@ -51,6 +61,7 @@ CHECKED_RATIOS = (
     "jaccard_cross_speedup",
     "lsap_square_speedup",
     "lsap_rect_speedup",
+    "matching_profile_speedup",
 )
 REGRESSION_TOLERANCE = 0.25
 #: Absolute floor on every checked ratio, whatever the baseline: a kernel
@@ -136,6 +147,27 @@ def measure_lsap() -> dict:
     }
 
 
+def measure_matching() -> dict:
+    instance = build_offline_instance(*MATCHING_SHAPE, rng=2)
+    weights, profile = instance.diversity, instance.profile_pair[1]
+
+    def walks(labels):
+        return [greedy_matching_dense(weights, labels) for _ in range(MATCHING_CALLS)][-1]
+
+    task_s, task_walk = _best_of(lambda: walks(None))
+    profile_s, profile_walk = _best_of(lambda: walks(profile))
+    assert is_matching(task_walk) and is_matching(profile_walk)
+    assert matching_weight(weights, profile_walk) >= 0.5 * matching_weight(
+        weights, task_walk
+    ), "profile walk fell below half the task walk"
+    return {
+        "shape": list(MATCHING_SHAPE),
+        "profiles": int(profile.max()) + 1,
+        "task_walk_seconds": task_s / MATCHING_CALLS,
+        "profile_walk_seconds": profile_s / MATCHING_CALLS,
+    }
+
+
 def _speedup(reference_s: float, kernel_s: float) -> float:
     return round(reference_s / max(kernel_s, 1e-9), 2)
 
@@ -150,10 +182,15 @@ def _rounded(timings: dict) -> dict:
 def measure() -> dict:
     jaccard = measure_jaccard()
     lsap = measure_lsap()
+    matching = measure_matching()
     return {
         "benchmark": "perf_kernels",
         "jaccard": _rounded(jaccard),
         "lsap": _rounded(lsap),
+        "matching": {
+            key: round(value, 6) if key.endswith("_seconds") else value
+            for key, value in matching.items()
+        },
         "jaccard_square_speedup": _speedup(
             jaccard["square_int64_seconds"], jaccard["square_blas_seconds"]
         ),
@@ -165,6 +202,9 @@ def measure() -> dict:
         ),
         "lsap_rect_speedup": _speedup(
             lsap["rect_reference_seconds"], lsap["rect_vectorized_seconds"]
+        ),
+        "matching_profile_speedup": _speedup(
+            matching["task_walk_seconds"], matching["profile_walk_seconds"]
         ),
     }
 
@@ -197,6 +237,7 @@ def test_kernels_beat_references(report):
     assert record["jaccard"]["bit_identical"]
     assert record["jaccard_square_speedup"] > 1.0
     assert record["lsap_rect_speedup"] > 1.0
+    assert record["matching_profile_speedup"] > 1.0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro.core.distance import pairwise_jaccard
+from repro.core.distance import pairwise_jaccard, take_submatrix
 from repro.data import CrowdFlowerConfig, generate_crowdflower_corpus
 from repro.serve.cache import IncrementalDiversityCache
 from repro.serve.loadgen import LoadgenConfig, run_self_contained
@@ -98,7 +98,7 @@ def measure_cache_speedup() -> dict:
         recompute_seconds += time.perf_counter() - started
 
         started = time.perf_counter()
-        carved = cache.submatrix(alive)
+        carved = take_submatrix(*cache.submatrix(alive))
         carve_seconds += time.perf_counter() - started
 
         np.testing.assert_allclose(carved, recomputed)

@@ -65,51 +65,48 @@ class HTAInstance:
         return self.n_workers * self.x_max
 
     @cached_property
+    def profile_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distance matrix of the distinct keyword profiles (numbered by
+        first appearance) and each task's profile index into it; the greedy
+        matching walks tasks sharing a profile as one class of twins."""
+        profiles, profile = keyword_profiles(self.tasks.matrix)
+        return self.distance.matrix(profiles), profile
+
+    @cached_property
     def diversity(self) -> np.ndarray:
         """Pairwise task-diversity matrix ``d(t_k, t_l)``, shape ``(n, n)``.
 
-        Computed once per distinct keyword profile and carved out per task
-        pair: the same distance of the same two vectors, so the entries equal
-        a task-level computation bit for bit (two tasks sharing a profile sit
-        at distance ``d(x, x) = 0``, the metric identity axiom).
+        Carved out of :attr:`profile_pair`: the same distance of the same
+        two vectors, so the entries equal a task-level computation bit for
+        bit (two tasks sharing a profile sit at distance ``d(x, x) = 0``,
+        the metric identity axiom).
         """
-        profiles, profile = keyword_profiles(self.tasks.matrix)
-        return take_submatrix(self.distance.matrix(profiles), profile)
+        return take_submatrix(*self.profile_pair)
 
     @cached_property
     def relevance(self) -> np.ndarray:
         """Worker-task relevance matrix, shape ``(n_workers, n_tasks)``."""
         return 1.0 - self.distance.matrix(self.workers.matrix, self.tasks.matrix)
 
-    def prime(
-        self,
-        diversity: np.ndarray | None = None,
-        relevance: np.ndarray | None = None,
-    ) -> "HTAInstance":
-        """Seed the cached matrices with externally precomputed values.
+    def prime(self, profile_pair: tuple[np.ndarray, np.ndarray]) -> "HTAInstance":
+        """Seed :attr:`profile_pair` (and so :attr:`diversity`) with a
+        precomputed pair whose profiles are numbered by first appearance.
 
-        The serving layer maintains an incremental pairwise-diversity cache
-        across assignment iterations (tasks only ever leave the pool), so a
-        per-solve instance can reuse a carved submatrix instead of paying the
-        from-scratch ``O(n^2 R)`` recomputation.  Shapes are validated; values
-        are trusted.  Returns ``self`` for chaining.
+        The serving layer's profile-distance cache carves one per solve
+        instead of paying the from-scratch ``O(n^2 R)`` recomputation.
+        Shapes are validated; values are trusted.  Returns ``self``.
         """
-        if diversity is not None:
-            diversity = np.asarray(diversity, dtype=np.float64)
-            if diversity.shape != (self.n_tasks, self.n_tasks):
-                raise InvalidInstanceError(
-                    f"primed diversity must have shape "
-                    f"({self.n_tasks}, {self.n_tasks}), got {diversity.shape}"
-                )
-            self.__dict__["diversity"] = diversity
-        if relevance is not None:
-            relevance = np.asarray(relevance, dtype=np.float64)
-            if relevance.shape != (self.n_workers, self.n_tasks):
-                raise InvalidInstanceError(
-                    f"primed relevance must have shape "
-                    f"({self.n_workers}, {self.n_tasks}), got {relevance.shape}"
-                )
-            self.__dict__["relevance"] = relevance
+        matrix = np.asarray(profile_pair[0], dtype=np.float64)
+        profile = np.asarray(profile_pair[1], dtype=np.intp)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or (
+            profile.shape != (self.n_tasks,)
+        ):
+            raise InvalidInstanceError(
+                f"primed profile pair must be a square matrix and "
+                f"{self.n_tasks} indices, got shapes {matrix.shape} and "
+                f"{profile.shape}"
+            )
+        self.__dict__["profile_pair"] = (matrix, profile)
         return self
 
     def alphas(self) -> np.ndarray:

@@ -53,6 +53,8 @@ class QAPEncoding:
             ``rel(w_q, t_k)`` values (dummy rows zero).
         alphas: Per-worker alpha weights.
         betas: Per-worker beta weights.
+        profile: Padded ``(n,)`` keyword-profile index of each vertex (its
+            twin class); the dummies form one extra class.
     """
 
     n_vertices: int
@@ -63,6 +65,7 @@ class QAPEncoding:
     relevance_by_worker: np.ndarray
     alphas: np.ndarray
     betas: np.ndarray
+    profile: np.ndarray
 
     @cached_property
     def worker_of_vertex(self) -> np.ndarray:
@@ -197,10 +200,12 @@ def build_encoding(instance: HTAInstance) -> QAPEncoding:
     n_vertices = max(n_tasks, instance.capacity)
     diversity = instance.diversity
     relevance = instance.relevance.T  # (n_tasks, n_workers)
+    profiles, profile = instance.profile_pair
     if n_vertices > n_tasks:
         pad = n_vertices - n_tasks
         diversity = np.pad(diversity, ((0, pad), (0, pad)))
         relevance = np.pad(relevance, ((0, pad), (0, 0)))
+        profile = np.pad(profile, (0, pad), constant_values=len(profiles))
     return QAPEncoding(
         n_vertices=n_vertices,
         n_real_tasks=n_tasks,
@@ -210,4 +215,5 @@ def build_encoding(instance: HTAInstance) -> QAPEncoding:
         relevance_by_worker=relevance,
         alphas=instance.alphas(),
         betas=instance.betas(),
+        profile=profile,
     )

@@ -5,7 +5,7 @@ auxiliary LSAP (line 11) is solved:
 
 1. *encode* — build the MAXQAP matrices (Eqs. 4-6);
 2. *matching* — a (greedy) maximum-weight matching ``M_B`` on the diversity
-   graph ``B``;
+   graph ``B``, walked by pairs of keyword profiles (index read in *encode*);
 3. *profits* — the auxiliary LSAP profit matrix
    ``f[k, l] = bM(t_k) * degA_l + c[k, l]`` (line 10), with its rows
    shuffled and, by default, cut to the clique columns;
@@ -95,7 +95,7 @@ def run_qap_pipeline(
     timings["encode"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    matching = _diversity_matching(encoding, matching_method)
+    matching = _diversity_matching(encoding, matching_method, generator)
     matched_weight = _matched_edge_weights(encoding, matching)
     timings["matching"] = time.perf_counter() - start
 
@@ -167,11 +167,17 @@ def check_lsap_shape(lsap_shape: str) -> str:
 
 
 def _diversity_matching(
-    encoding: QAPEncoding, method: str
+    encoding: QAPEncoding, method: str, rng: np.random.Generator
 ) -> list[tuple[int, int]]:
     """The matching ``M_B`` on the (padded) diversity graph (line 2)."""
     if method == "greedy":
-        return greedy_matching_dense(encoding.diversity)
+        # Random class labels break ties between profile pairs, as the LSAP
+        # row shuffle does: in first-appearance (group) order each group's
+        # profiles pair with the next group's, so the partners the swap
+        # brings into one worker's set share a group.
+        profile = encoding.profile
+        labels = rng.permutation(int(profile.max(initial=-1)) + 1)
+        return greedy_matching_dense(encoding.diversity, labels[profile])
     if method == "exact":
         if encoding.n_vertices > MAX_EXACT_VERTICES:
             raise ValueError(
@@ -188,10 +194,8 @@ def _matched_edge_weights(
     """``bM(t_k)``: the weight of the matched edge covering ``t_k``, else 0
     (Algorithm 1 lines 5-8)."""
     weights = np.zeros(encoding.n_vertices)
-    for i, j in matching:
-        w = encoding.diversity[i, j]
-        weights[i] = w
-        weights[j] = w
+    i, j = np.array(matching, dtype=np.intp).reshape(-1, 2).T
+    weights[i] = weights[j] = encoding.diversity[i, j]
     return weights
 
 
@@ -213,13 +217,13 @@ def _best_swap(
     """
     best_perm = base_permutation.copy()
     best_value = encoding.objective(best_perm)
+    edges = np.array(matching, dtype=np.intp).reshape(-1, 2)
     for _ in range(n_samples):
         permutation = base_permutation.copy()
         if matching:
-            flips = rng.random(len(matching)) < 0.5
-            for flip, (k, l) in zip(flips, matching):
-                if flip:
-                    permutation[k], permutation[l] = permutation[l], permutation[k]
+            # Matched edges are vertex-disjoint, so the swaps commute.
+            k, l = edges[rng.random(len(matching)) < 0.5].T
+            permutation[k], permutation[l] = permutation[l], permutation[k]
         value = encoding.objective(permutation)
         if value > best_value:
             best_value = value

@@ -41,8 +41,8 @@ from .events import TasksAssigned
 ADAPTIVE_STRATEGIES = frozenset({"hta-gre", "hta-app"})
 
 #: Given the ordered task ids of a solve's candidate set, return their
-#: pairwise-diversity submatrix — or ``None`` to fall back to recomputing.
-DiversityProvider = Callable[[Sequence[str]], "np.ndarray | None"]
+#: :attr:`HTAInstance.profile_pair` — or ``None`` to fall back to recomputing.
+DiversityProvider = Callable[[Sequence[str]], "tuple[np.ndarray, np.ndarray] | None"]
 
 
 class TaskPoolState:
@@ -321,11 +321,11 @@ class AssignmentService:
         return self._workers.get(worker_id)
 
     def set_diversity_provider(self, provider: DiversityProvider | None) -> None:
-        """Install a cache that serves per-solve diversity submatrices.
+        """Install a cache that serves per-solve diversity blocks.
 
         The provider receives the ordered candidate task ids of a solve and
-        returns their pairwise-diversity matrix, or ``None`` to decline (the
-        instance then computes it from scratch as before).
+        returns their profile pair, or ``None`` to decline (the instance
+        then computes it from scratch as before).
         """
         self._diversity_provider = provider
 
@@ -594,7 +594,7 @@ class AssignmentService:
         if self._diversity_provider is not None:
             cached = self._diversity_provider([t.task_id for t in candidates])
             if cached is not None:
-                instance.prime(diversity=cached)
+                instance.prime(profile_pair=cached)
         return PreparedSolve(
             worker_ids=live,
             candidates=candidates,

@@ -9,7 +9,9 @@ rely on.
 Two entry points:
 
 * :func:`greedy_matching_dense` — on a symmetric weight matrix (complete
-  graph), the shape used throughout HTA;
+  graph), the shape used throughout HTA.  Tasks sharing a keyword profile
+  are twins (AMT task groups give ~80 profiles per 400 Fig. 2 tasks), so
+  it walks profile pairs, matching all free twins of a pair at once;
 * :func:`greedy_matching_edges` — on an explicit edge list, for sparse
   graphs and for tests.
 """
@@ -23,19 +25,28 @@ import numpy as np
 Edge = tuple[int, int, float]
 
 
-def greedy_matching_dense(weights: np.ndarray) -> list[tuple[int, int]]:
+def greedy_matching_dense(
+    weights: np.ndarray, profile: np.ndarray | None = None
+) -> list[tuple[int, int]]:
     """Greedy matching on the complete graph given by a symmetric matrix.
 
-    Edges with non-positive weight are skipped: leaving two vertices
-    unmatched is never worse than matching them at weight <= 0, and skipping
-    keeps the 1/2 bound while avoiding useless pairs.
+    ``profile[i]`` names vertex ``i``'s class of twins: vertices of one
+    class have equal weights to every other vertex and weight 0 among
+    themselves (tasks with one keyword profile, under a metric).  ``None``
+    makes every vertex its own class.  Edges with non-positive weight are
+    skipped: leaving two vertices unmatched is never worse than matching
+    them at weight <= 0, and skipping keeps the 1/2 bound.
 
-    The upper-triangle edges are visited in the stable order of decreasing
-    weight, in chunks that double from ``n`` edges.  Matched status only
-    grows, so an edge with an endpoint matched before its chunk starts would
-    be skipped anyway; numpy drops those and only the survivors reach the
-    Python check.  The walk stops once at most one vertex is free.  The
-    output is edge for edge that of the one-edge-at-a-time loop.
+    Class pairs are visited in the stable order of decreasing weight, ties
+    in the order of the labels; a pair ``(a, b)`` matches ``min(free_a,
+    free_b)`` vertex pairs at once, lowest free vertices first.  One of the
+    two classes is then exhausted, so no heavier free edge remains: each
+    edge taken is a heaviest free edge, a GreedyMatching run.  Pairs go in
+    chunks that double from the number of classes; exhaustion only grows,
+    so numpy drops the pairs exhausted before their chunk and only the
+    survivors reach the Python step.  The walk stops once at most one
+    vertex is free.  With ``profile=None`` the output is edge for edge that
+    of the one-edge-at-a-time loop over the upper triangle, row by row.
 
     Returns a list of ``(i, j)`` with ``i < j``, vertex-disjoint, ordered by
     decreasing weight.
@@ -43,31 +54,48 @@ def greedy_matching_dense(weights: np.ndarray) -> list[tuple[int, int]]:
     >>> w = np.array([[0., 3., 1.], [3., 0., 2.], [1., 2., 0.]])
     >>> greedy_matching_dense(w)
     [(0, 1)]
+    >>> twins = np.array([[0., 0., 2., 1.], [0., 0., 2., 1.],
+    ...                   [2., 2., 0., 0.], [1., 1., 0., 0.]])
+    >>> greedy_matching_dense(twins, profile=[0, 0, 1, 2])
+    [(0, 2), (1, 3)]
     """
     matrix = np.asarray(weights, dtype=float)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if n < 2:
-        return []
-    rows, cols = np.triu_indices(n, k=1)
-    edge_weights = matrix[rows, cols]
+    label = np.arange(n) if profile is None else np.asarray(profile, dtype=np.intp)
+    if label.shape != (n,):
+        raise ValueError(f"expected {n} profile entries, got shape {label.shape}")
+    _, first, label = np.unique(label, return_index=True, return_inverse=True)
+    size = np.bincount(label)
+    # Members of each class, ascending, laid out class after class.
+    members = np.argsort(label, kind="stable").tolist()
+    rows, cols = np.triu_indices(len(size), k=1)
+    edge_weights = matrix[first[rows], first[cols]]
     order = np.argsort(-edge_weights, kind="stable")
     # Positive weights sort first, so they are a prefix of the order.
     order = order[: np.count_nonzero(edge_weights > 0.0)]
-    matched = np.zeros(n, dtype=bool)
+    taken, free = (np.cumsum(size) - size).tolist(), size.tolist()
+    exhausted = np.zeros(len(size), dtype=bool)
     matching: list[tuple[int, int]] = []
-    start, chunk = 0, n
+    start, chunk = 0, len(size)
     while start < len(order) and n - 2 * len(matching) > 1:
         block = order[start : start + chunk]
         start += chunk
         chunk *= 2
         r, c = rows[block], cols[block]
-        live = ~(matched[r] | matched[c])
-        for i, j in zip(r[live].tolist(), c[live].tolist()):
-            if not matched[i] and not matched[j]:
-                matched[i] = matched[j] = True
-                matching.append((i, j))
+        live = ~(exhausted[r] | exhausted[c])
+        for a, b in zip(r[live].tolist(), c[live].tolist()):
+            fa, fb = free[a], free[b]
+            if fa and fb:
+                k = fa if fa < fb else fb
+                i, j = taken[a], taken[b]
+                matching.extend(
+                    (u, v) if u < v else (v, u)
+                    for u, v in zip(members[i : i + k], members[j : j + k])
+                )
+                taken[a], taken[b], free[a], free[b] = i + k, j + k, fa - k, fb - k
+                exhausted[a], exhausted[b] = fa == k, fb == k
     return matching
 
 

@@ -12,7 +12,8 @@ corpus holds far fewer distinct keyword rows than tasks — 459 for the
 daemon's 4,800-task default — and the distance of two tasks is the distance
 of their profiles.  The cache keeps a profile distance matrix, a
 keyword-bytes → profile dict and a task → profile dict; a carve maps task
-ids to profile rows and indexes the profile matrix.
+ids to profile rows and returns the block of the profiles they use with
+each task's index into it, which the solve's greedy matching walks.
 
 The pool is open-world in both directions.  Removals exploit the paper's
 display monotonicity: once displayed, a task is dropped from subsequent
@@ -188,8 +189,13 @@ class IncrementalDiversityCache:
         self._profile_of = {tid: renumber[p] for tid, p in self._profile_of.items()}
         self.compactions += 1
 
-    def submatrix(self, task_ids: Sequence[str]) -> np.ndarray | None:
-        """Pairwise-diversity block for ``task_ids``, in the given order.
+    def submatrix(
+        self, task_ids: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Profile pair for ``task_ids``, as
+        :meth:`repro.core.instance.HTAInstance.prime` takes it: the distance
+        block of the profiles they use and each task's index into it, so
+        ``take_submatrix(*pair)`` is their pairwise-diversity matrix.
 
         Returns ``None`` when any id is unknown (the solve then falls back
         to recomputing from keyword vectors) — this keeps the cache safe to
@@ -205,7 +211,10 @@ class IncrementalDiversityCache:
         except KeyError:
             return None
         self.carves += 1
-        return take_submatrix(self._matrix, rows)
+        # Profiles numbered by first appearance, as keyword_profiles does.
+        _, first, profile = np.unique(rows, return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(first))
+        return take_submatrix(self._matrix, rows[np.sort(first)]), rank[profile]
 
     def attach(self, service) -> "IncrementalDiversityCache":
         """Wire this cache into an :class:`AssignmentService` (all hooks)."""

@@ -73,8 +73,11 @@ from ..errors import ReproError
 #: the same, but tie-broken task choices differ from a version-2 run.
 #: Version 4 registers a worker under a fixed-weight strategy through a
 #: prepared solve, which draws its solver seed from the service RNG, so
-#: every later random draw differs from a version-3 run.
-JOURNAL_VERSION = 4
+#: every later random draw differs from a version-3 run.  Version 5 walks
+#: the greedy diversity matching by keyword-profile pair: ties among task
+#: pairs break by profile pair, so matched edges, and the displays built on
+#: them, differ from a version-4 run.
+JOURNAL_VERSION = 5
 
 #: Required fields per event type (beyond ``type`` and ``seq``); an event
 #: with a missing field or an unknown type is schema drift and fails load.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.distance import pairwise_jaccard
+from repro.core.distance import pairwise_jaccard, take_submatrix
 from repro.core.motivation import diversity_of_subset, relevance_of_subset
 from repro.core.solvers import (
     ExactSolver,
@@ -156,8 +156,9 @@ class TestCacheBitIdentity:
             # end-to-end computation from the keyword matrix.
             subset_size = int(rng.integers(2, min(12, len(alive)) + 1))
             subset = list(rng.choice(alive, size=subset_size, replace=False))
-            carved = cache.submatrix(subset)
-            assert carved is not None
+            pair = cache.submatrix(subset)
+            assert pair is not None
+            carved = take_submatrix(*pair)
             rows = np.array([position[tid] for tid in subset], dtype=np.intp)
             fresh = pairwise_jaccard(pool.matrix[rows])
             assert np.array_equal(carved, fresh), (

@@ -85,6 +85,112 @@ class TestGreedyDenseEqualsEdgeLoop:
         assert greedy_matching_dense(w) == greedy_matching_edges(edges)
 
 
+@st.composite
+def twin_graph(draw):
+    """A symmetric matrix of twin classes, ``w[i, j] = c[p_i, p_j]``: integer
+    class weights in [-1, 3] (many ties, zeros and negatives), 0 inside a
+    class."""
+    n_classes = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    c = np.triu(rng.integers(-1, 4, size=(n_classes, n_classes)), 1).astype(float)
+    profile = rng.integers(0, n_classes, size=n)
+    return (c + c.T)[np.ix_(profile, profile)], profile
+
+
+def assert_greedy_run(w: np.ndarray, matching: list[tuple[int, int]]) -> None:
+    """Replay ``matching`` edge by edge: each edge joins two free vertices
+    at the heaviest weight left between free vertices, and once it ends no
+    positive edge joins two free vertices."""
+    free = np.ones(len(w), dtype=bool)
+
+    def heaviest_free_edge() -> float:
+        idx = np.flatnonzero(free)
+        sub = w[np.ix_(idx, idx)]
+        rows, cols = np.triu_indices(len(idx), k=1)
+        return float(sub[rows, cols].max(initial=0.0))
+
+    for i, j in matching:
+        assert i < j and free[i] and free[j]
+        assert w[i, j] > 0.0
+        assert w[i, j] == heaviest_free_edge()
+        free[i] = free[j] = False
+    assert heaviest_free_edge() <= 0.0
+
+
+class TestProfilePairWalk:
+    """The walk over twin classes (keyword profiles) is a GreedyMatching run,
+    and with one vertex per class it is the task-pair walk."""
+
+    @given(twin_graph())
+    @settings(max_examples=200, deadline=None)
+    def test_every_edge_is_a_heaviest_free_edge(self, graph):
+        w, profile = graph
+        matching = greedy_matching_dense(w, profile)
+        assert is_matching(matching)
+        assert_greedy_run(w, matching)
+
+    @given(tied_symmetric())
+    @settings(max_examples=200, deadline=None)
+    def test_singleton_classes_are_the_task_walk(self, w):
+        """``profile=None``, the identity labels and any increasing labels
+        of singleton classes all give the one-edge-at-a-time loop's
+        matching."""
+        n = len(w)
+        rows, cols = np.triu_indices(n, k=1)
+        task_walk = greedy_matching_edges(
+            (int(i), int(j), w[i, j]) for i, j in zip(rows, cols)
+        )
+        assert greedy_matching_dense(w) == task_walk
+        assert greedy_matching_dense(w, np.arange(n)) == task_walk
+        assert greedy_matching_dense(w, 3 * np.arange(n) + 7) == task_walk
+
+    @given(twin_graph(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_labels_break_ties_in_their_order(self, graph, seed):
+        """Only the order of the labels matters: an increasing renumbering
+        changes nothing, and any renumbering is still a greedy run."""
+        w, profile = graph
+        increasing = np.sort(np.random.default_rng(seed).choice(100, 8, replace=False))
+        assert greedy_matching_dense(w, increasing[profile]) == greedy_matching_dense(
+            w, profile
+        )
+        shuffled = np.random.default_rng(seed).permutation(8)[profile]
+        assert_greedy_run(w, greedy_matching_dense(w, shuffled))
+
+    @given(st.integers(1, 8), st.integers(0, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_permuting_task_labels_keeps_weight(self, n_classes, n, seed):
+        """Shuffle which task carries which label: with distinct class-pair
+        weights the walk takes the same class pairs equally often, so the
+        matched weight does not move (integer weights: sums are exact)."""
+        rng = np.random.default_rng(seed)
+        rows, cols = np.triu_indices(n_classes, k=1)
+        c = np.zeros((n_classes, n_classes))
+        c[rows, cols] = rng.permutation(len(rows)) - 3.0
+        c = c + c.T
+        profile = rng.integers(0, n_classes, size=n)
+        shuffled = rng.permutation(profile)
+        weights = []
+        for labels in (profile, shuffled):
+            w = c[np.ix_(labels, labels)]
+            weights.append(matching_weight(w, greedy_matching_dense(w, labels)))
+        assert weights[0] == weights[1]
+
+    def test_matches_twins_of_a_pair_at_once(self):
+        """Classes {0, 2, 4} and {1, 3}: the heaviest class pair matches two
+        task pairs, lowest free indices first; the third twin is left over."""
+        c = np.array([[0.0, 2.0], [2.0, 0.0]])
+        profile = np.array([0, 1, 0, 1, 0])
+        w = c[np.ix_(profile, profile)]
+        assert greedy_matching_dense(w, profile) == [(0, 1), (2, 3)]
+
+    def test_profile_length_checked(self):
+        with pytest.raises(ValueError, match="profile"):
+            greedy_matching_dense(np.zeros((3, 3)), [0, 1])
+
+
 def greedy_lsap_entry_loop(profit: np.ndarray) -> np.ndarray:
     """Greedy LSAP one entry at a time: the stable order of decreasing
     profit, taking each entry whose row and column are both free."""

@@ -29,6 +29,7 @@ def figure_one_encoding(paper_example):
         relevance_by_worker=enc.relevance_by_worker,
         alphas=np.array([0.2, 0.6]),
         betas=np.array([0.8, 0.3]),
+        profile=enc.profile,
     )
 
 

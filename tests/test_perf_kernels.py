@@ -19,7 +19,7 @@ from repro.core import distance
 from repro.core.distance import jaccard_distance, keyword_intersections, pairwise_jaccard
 from repro.core.qap import build_encoding
 from repro.experiments import build_offline_instance
-from repro.matching.greedy import greedy_matching_dense
+from repro.core.solvers import pipeline
 from repro.matching.lsap import (
     _hungarian_min_reference,
     brute_force_lsap,
@@ -232,10 +232,10 @@ class TestHungarianDifferential:
         )
         encoding = build_encoding(instance)
         n = encoding.n_vertices
-        weights = np.zeros(n)
-        for i, j in greedy_matching_dense(encoding.diversity):
-            weights[i] = weights[j] = encoding.diversity[i, j]
-        row_order = np.random.default_rng(seed).permutation(n)
+        rng = np.random.default_rng(seed)
+        matching = pipeline._diversity_matching(encoding, "greedy", rng)
+        weights = pipeline._matched_edge_weights(encoding, matching)
+        row_order = rng.permutation(n)
         n_clique = n_workers * x_max
         profit = encoding.profit_matrix(weights)[row_order, :n_clique].T
         fast = hungarian(profit)

@@ -105,6 +105,41 @@ class TestMatchingProperties:
         ) - 1e-9
 
 
+class TestProfileWalkProperties:
+    """The pipeline's matching walks keyword-profile pairs; on pools with
+    repeated profiles (three keywords: at most eight distinct rows) it keeps
+    GreedyMatching's 1/2 bound and never touches a padded dummy."""
+
+    @given(st.integers(2, 12), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_profile_walk_is_half_of_optimal(self, n_tasks, seed):
+        instance = make_random_instance(n_tasks, 1, 1, seed=seed, n_keywords=3)
+        w = instance.diversity
+        matching = greedy_matching_dense(w, instance.profile_pair[1])
+        assert is_matching(matching)
+        assert matching_weight(w, matching) >= 0.5 * exact_matching_weight(w) - 1e-9
+
+    @given(
+        st.integers(1, 14),  # tasks
+        st.integers(1, 4),  # workers
+        st.integers(1, 4),  # x_max
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_padded_dummies_never_matched(self, n_tasks, n_workers, x_max, seed):
+        instance = make_random_instance(
+            n_tasks, n_workers, x_max, seed=seed, n_keywords=3
+        )
+        encoding = build_encoding(instance)
+        matching = greedy_matching_dense(encoding.diversity, encoding.profile)
+        assert all(j < encoding.n_real_tasks for _, j in matching)
+        if encoding.n_vertices > n_tasks:
+            # The dummies form one class of their own, after the profiles.
+            dummies = encoding.profile[n_tasks:]
+            assert (dummies == dummies[0]).all()
+            assert dummies[0] not in encoding.profile[:n_tasks]
+
+
 class TestLSAPProperties:
     @given(profit_matrix())
     @settings(max_examples=40, deadline=None)

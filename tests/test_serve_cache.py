@@ -15,9 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Task, TaskPool, Vocabulary
-from repro.core.distance import pairwise_jaccard, take_submatrix
+from repro.core.distance import keyword_profiles, pairwise_jaccard, take_submatrix
 from repro.crowd.service import AssignmentService, ServiceConfig
 from repro.serve.cache import IncrementalDiversityCache
+
+
+def carve(cache, ids):
+    """The task-level block a solve expands from the cache's profile pair."""
+    pair = cache.submatrix(ids)
+    return None if pair is None else take_submatrix(*pair)
 
 
 @pytest.fixture
@@ -71,7 +77,7 @@ class TestCacheParity:
     def test_submatrix_matches_recompute(self, pool):
         cache = IncrementalDiversityCache(pool)
         ids = [t.task_id for t in pool][10:40]
-        sub = cache.submatrix(ids)
+        sub = carve(cache, ids)
         expected = pairwise_jaccard(pool.subset(ids).matrix)
         np.testing.assert_allclose(sub, expected)
 
@@ -84,7 +90,7 @@ class TestCacheParity:
             cache.on_removed(drop)
             alive = [tid for tid in alive if tid not in set(drop)]
             sample = list(rng.choice(alive, size=min(12, len(alive)), replace=False))
-            sub = cache.submatrix(sample)
+            sub = carve(cache, sample)
             expected = pairwise_jaccard(pool.subset(sample).matrix)
             np.testing.assert_allclose(sub, expected)
         assert cache.compactions >= 1
@@ -97,7 +103,7 @@ class TestCacheParity:
         rows = [base.index(tid) for tid in ids]
         full = pairwise_jaccard(pool.matrix)
         np.testing.assert_allclose(
-            cache.submatrix(ids), full[np.ix_(rows, rows)]
+            carve(cache, ids), full[np.ix_(rows, rows)]
         )
 
     def test_submatrix_out_of_order_ids(self, pool):
@@ -107,17 +113,33 @@ class TestCacheParity:
         rows = [base.index(tid) for tid in ids]
         full = pairwise_jaccard(pool.matrix)
         np.testing.assert_allclose(
-            cache.submatrix(ids), full[np.ix_(rows, rows)]
+            carve(cache, ids), full[np.ix_(rows, rows)]
         )
+
+    def test_profile_pair_is_what_a_fresh_instance_builds(self, vocab):
+        """The pair is compacted to the candidates' profiles and numbers
+        them by first appearance, as ``keyword_profiles`` does, so a primed
+        solve and a from-scratch one walk the same classes."""
+        rng = np.random.default_rng(5)
+        rows = rng.random((6, 20)) < 0.3
+        pool = TaskPool(
+            [Task(f"t{i}", rows[rng.integers(6)]) for i in range(40)], vocab
+        )
+        cache = IncrementalDiversityCache(pool)
+        ids = [t.task_id for t in pool][::-3]
+        matrix, profile = cache.submatrix(ids)
+        profiles, expected = keyword_profiles(pool.subset(ids).matrix)
+        np.testing.assert_array_equal(profile, expected)
+        assert np.array_equal(matrix, pairwise_jaccard(profiles))
 
     def test_submatrix_empty_ids(self, pool):
         cache = IncrementalDiversityCache(pool)
-        assert cache.submatrix([]).shape == (0, 0)
+        assert carve(cache, []).shape == (0, 0)
 
     def test_unknown_id_declines(self, pool):
         cache = IncrementalDiversityCache(pool)
         cache.on_removed(["t0"])
-        assert cache.submatrix(["t0", "t1"]) is None
+        assert carve(cache, ["t0", "t1"]) is None
         assert "t0" not in cache
 
     def test_rejects_bad_threshold(self, pool):
@@ -182,18 +204,18 @@ class TestCacheGrowth:
                     live.pop(tid)
             assert len(cache) == len(live)
             if live:
-                got = cache.submatrix(list(live))
+                got = carve(cache, list(live))
                 assert got is not None
                 assert np.array_equal(got, _rebuild_oracle(live))
             else:
-                assert cache.submatrix([]).shape == (0, 0)
+                assert carve(cache, []).shape == (0, 0)
 
     def test_empty_append_is_a_noop(self):
         cache, live, _ = self._make()
-        before = cache.submatrix(list(live)).copy()
+        before = carve(cache, list(live)).copy()
         cache.on_added([])
         assert cache.appends == 0
-        np.testing.assert_array_equal(cache.submatrix(list(live)), before)
+        np.testing.assert_array_equal(carve(cache, list(live)), before)
 
     def test_duplicate_id_in_batch_rejected_atomically(self):
         cache, live, rng = self._make()
@@ -203,7 +225,7 @@ class TestCacheGrowth:
             cache.on_added(batch)
         assert "new-a" not in cache
         assert np.array_equal(
-            cache.submatrix(list(live)), _rebuild_oracle(live)
+            carve(cache, list(live)), _rebuild_oracle(live)
         )
 
     def test_duplicate_of_live_row_rejected_atomically(self):
@@ -213,7 +235,7 @@ class TestCacheGrowth:
             cache.on_added(batch)
         assert "new-b" not in cache  # the valid half must not land either
         assert np.array_equal(
-            cache.submatrix(list(live)), _rebuild_oracle(live)
+            carve(cache, list(live)), _rebuild_oracle(live)
         )
 
     def test_vector_length_mismatch_rejected(self):
@@ -228,7 +250,7 @@ class TestCacheGrowth:
         batch = [Task(f"fresh{i}", rng.random(self.R) < 0.35) for i in range(4)]
         cache.on_added(batch)
         rows = {t.task_id: np.asarray(t.vector, dtype=bool) for t in batch}
-        got = cache.submatrix(list(rows))
+        got = carve(cache, list(rows))
         assert np.array_equal(got, _rebuild_oracle(rows))
 
     def test_growth_overallocates_geometrically(self):
@@ -240,7 +262,7 @@ class TestCacheGrowth:
         for task in batch:
             live[task.task_id] = np.asarray(task.vector, dtype=bool)
         assert np.array_equal(
-            cache.submatrix(list(live)), _rebuild_oracle(live)
+            carve(cache, list(live)), _rebuild_oracle(live)
         )
 
 
@@ -275,7 +297,7 @@ class TestProfileCache:
     def _assert_matches_oracle(cache, live):
         assert len(cache) == len(live)
         ids = list(live)
-        got = cache.submatrix(ids)
+        got = carve(cache, ids)
         assert got is not None
         if ids:
             assert np.array_equal(got, pairwise_jaccard(np.vstack(list(live.values()))))
@@ -434,4 +456,4 @@ class TestServiceIntegration:
             (t.task_id, np.asarray(t.vector, dtype=bool)) for t in arrivals
         )
         expected = pairwise_jaccard(np.vstack([rows[tid] for tid in ids]))
-        assert np.array_equal(cache.submatrix(ids), expected)
+        assert np.array_equal(carve(cache, ids), expected)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import MotivationWeights, Task, TaskPool, Vocabulary, Worker
-from repro.core.distance import pairwise_jaccard
+from repro.core.distance import pairwise_jaccard, take_submatrix
 from repro.crowd.service import (
     ADAPTIVE_STRATEGIES,
     AssignmentService,
@@ -681,5 +681,6 @@ class TestPrepareCommit:
         assert len(cache) == len(live)
         sample = live[:10]
         np.testing.assert_allclose(
-            cache.submatrix(sample), pairwise_jaccard(pool.subset(sample).matrix)
+            take_submatrix(*cache.submatrix(sample)),
+            pairwise_jaccard(pool.subset(sample).matrix),
         )

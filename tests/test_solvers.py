@@ -19,7 +19,6 @@ from repro.core.solvers.base import Solver
 from repro.core.solvers import pipeline
 from repro.core.solvers.pipeline import run_qap_pipeline
 from repro.errors import InvalidInstanceError, UnknownSolverError
-from repro.matching.greedy import greedy_matching_dense
 from repro.matching.lsap import solve_lsap
 
 from conftest import make_random_instance
@@ -197,17 +196,17 @@ class TestLsapShape:
         instance = make_random_instance(n_tasks, n_workers, x_max, seed=seed)
         encoding = build_encoding(instance)
         n = encoding.n_vertices
-        weights = np.zeros(n)
-        for i, j in greedy_matching_dense(encoding.diversity):
-            weights[i] = weights[j] = encoding.diversity[i, j]
-        profits = encoding.profit_matrix(weights)
+        # The pipeline's clique-shape permutation before the swap step, and
+        # the diversity matching it was built on.
+        with mock.patch.object(pipeline, "_best_swap", wraps=pipeline._best_swap) as swap:
+            run_qap_pipeline(instance, "hungarian", rng=seed)
+        permutation, matching = swap.call_args.args[1:3]
+        profits = encoding.profit_matrix(
+            pipeline._matched_edge_weights(encoding, matching)
+        )
         assert not profits[:, n_clique:].any()
 
         square = solve_lsap(profits, "hungarian").value
-        # The pipeline's clique-shape permutation before the swap step.
-        with mock.patch.object(pipeline, "_best_swap", wraps=pipeline._best_swap) as swap:
-            run_qap_pipeline(instance, "hungarian", rng=seed)
-        permutation = swap.call_args.args[1]
         assert sorted(permutation.tolist()) == list(range(n))
         clique = float(profits[np.arange(n), permutation].sum())
         assert clique == pytest.approx(square, rel=1e-9, abs=1e-9)
