@@ -52,6 +52,7 @@ LSAP_SQUARE = 300
 LSAP_RECT = (40, 400)  # workers x candidate tasks, the serving-path shape
 MATCHING_SHAPE = (400, 20, 20, 5)  # tasks, tasks per group, workers, x_max
 MATCHING_CALLS = 20  # walks per timed sample: one walk is ~1 ms
+MATCHING_REPEATS = 7  # interleaved samples per walk
 REPEATS = 3
 
 #: Ratio metrics CI compares against the committed baseline (>25% fails);
@@ -154,8 +155,15 @@ def measure_matching() -> dict:
     def walks(labels):
         return [greedy_matching_dense(weights, labels) for _ in range(MATCHING_CALLS)][-1]
 
-    task_s, task_walk = _best_of(lambda: walks(None))
-    profile_s, profile_walk = _best_of(lambda: walks(profile))
+    # The profile walk's sample is ~7 ms, short enough for one slow spell
+    # of a shared host to cover three in a row; interleaving the two walks'
+    # samples makes a spell hit both, and the minimum skips it.
+    task_s = profile_s = float("inf")
+    for _ in range(MATCHING_REPEATS):
+        seconds, task_walk = _best_of(lambda: walks(None), repeats=1)
+        task_s = min(task_s, seconds)
+        seconds, profile_walk = _best_of(lambda: walks(profile), repeats=1)
+        profile_s = min(profile_s, seconds)
     assert is_matching(task_walk) and is_matching(profile_walk)
     assert matching_weight(weights, profile_walk) >= 0.5 * matching_weight(
         weights, task_walk

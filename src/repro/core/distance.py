@@ -14,7 +14,7 @@ Appendix A).  This module provides:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,6 +221,27 @@ def pairwise_jaccard(
     return out
 
 
+def first_appearance_index(keys: Sequence[Hashable]) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct ``keys`` in order of first appearance.
+
+    Returns where each distinct key first appears (in that order) and each
+    key's number.  Every profile numbering goes through here, so a fresh
+    instance and the serving cache's carve give the same candidates the
+    same classes, and a replayed solve walks them in the same order.
+
+    >>> first, index = first_appearance_index([7, 3, 7, 5])
+    >>> first.tolist(), index.tolist()
+    ([0, 1, 3], [0, 1, 0, 2])
+    """
+    number: dict[Hashable, int] = {}
+    index = np.fromiter(
+        (number.setdefault(key, len(number)) for key in keys),
+        dtype=np.intp,
+        count=len(keys),
+    )
+    return np.unique(index, return_index=True)[1], index
+
+
 def keyword_profiles(
     matrix: np.ndarray,
     index: dict[bytes, int] | None = None,
@@ -230,10 +251,10 @@ def keyword_profiles(
     Tasks of one group share their keywords, so a pool holds far fewer
     profiles than tasks, and every pairwise distance is a distance between
     two profiles: ``D == P[np.ix_(profile, profile)]`` where ``P`` is the
-    profile matrix.  Rows are keyed by their packed bytes.  ``index`` maps
-    the keys already numbered (it is extended in place, new profiles
-    numbered from ``len(index)`` in order of first appearance); only the
-    rows of the *new* profiles are returned.
+    profile matrix.  Profiles are numbered by first appearance.  ``index``
+    maps the packed bytes of the rows already numbered (it is extended in
+    place, new profiles numbered from ``len(index)`` in order of first
+    appearance); only the rows of the *new* profiles are returned.
 
     >>> rows = np.array([[1, 0], [0, 1], [1, 0]], bool)
     >>> profiles, profile = keyword_profiles(rows)
@@ -241,18 +262,19 @@ def keyword_profiles(
     ([[1, 0], [0, 1]], [0, 1, 0])
     """
     rows = np.asarray(matrix, dtype=bool)
-    index = {} if index is None else index
     packed = np.packbits(rows, axis=1)
-    width, buffer, known = packed.shape[1], packed.tobytes(), len(index)
-    profile = np.fromiter(
-        (index.setdefault(buffer[i * width:(i + 1) * width], len(index))
-         for i in range(rows.shape[0])),
+    width, buffer = packed.shape[1], packed.tobytes()
+    keys = [buffer[i * width:(i + 1) * width] for i in range(rows.shape[0])]
+    first, profile = first_appearance_index(keys)
+    if index is None:
+        return rows[first], profile
+    known = len(index)
+    number = np.fromiter(
+        (index.setdefault(keys[i], len(index)) for i in first.tolist()),
         dtype=np.intp,
-        count=rows.shape[0],
+        count=len(first),
     )
-    new = np.flatnonzero(profile >= known)
-    first = new[np.unique(profile[new], return_index=True)[1]]
-    return rows[first], profile
+    return rows[first[number >= known]], number[profile]
 
 
 def take_submatrix(matrix: np.ndarray, indices: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -94,7 +94,8 @@ class HTAInstance:
 
         The serving layer's profile-distance cache carves one per solve
         instead of paying the from-scratch ``O(n^2 R)`` recomputation.
-        Shapes are validated; values are trusted.  Returns ``self``.
+        Shapes and indices are validated; distances are trusted.  Returns
+        ``self``.
         """
         matrix = np.asarray(profile_pair[0], dtype=np.float64)
         profile = np.asarray(profile_pair[1], dtype=np.intp)
@@ -105,6 +106,11 @@ class HTAInstance:
                 f"primed profile pair must be a square matrix and "
                 f"{self.n_tasks} indices, got shapes {matrix.shape} and "
                 f"{profile.shape}"
+            )
+        if profile.size and not 0 <= profile.min() <= profile.max() < len(matrix):
+            raise InvalidInstanceError(
+                f"primed profile indices must lie in [0, {len(matrix)}), got "
+                f"[{profile.min()}, {profile.max()}]"
             )
         self.__dict__["profile_pair"] = (matrix, profile)
         return self

@@ -42,7 +42,7 @@ ADAPTIVE_STRATEGIES = frozenset({"hta-gre", "hta-app"})
 
 #: Given the ordered task ids of a solve's candidate set, return their
 #: :attr:`HTAInstance.profile_pair` — or ``None`` to fall back to recomputing.
-DiversityProvider = Callable[[Sequence[str]], "tuple[np.ndarray, np.ndarray] | None"]
+ProfilePairProvider = Callable[[Sequence[str]], "tuple[np.ndarray, np.ndarray] | None"]
 
 
 class TaskPoolState:
@@ -268,7 +268,7 @@ class AssignmentService:
         # Every id the startup corpus ever contained: a displayed task
         # leaves the pool but its id must never be re-admittable.
         self._corpus_ids = frozenset(task.task_id for task in pool)
-        self._diversity_provider: DiversityProvider | None = None
+        self._diversity_provider: ProfilePairProvider | None = None
         self._reputation_provider: "Callable[[str], float] | None" = None
         self._workers: dict[str, Worker] = {}
         self._displays: dict[str, _Display] = {}
@@ -320,7 +320,7 @@ class AssignmentService:
         """The registered :class:`Worker`, or ``None`` if not registered."""
         return self._workers.get(worker_id)
 
-    def set_diversity_provider(self, provider: DiversityProvider | None) -> None:
+    def set_diversity_provider(self, provider: ProfilePairProvider | None) -> None:
         """Install a cache that serves per-solve diversity blocks.
 
         The provider receives the ordered candidate task ids of a solve and

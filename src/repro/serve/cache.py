@@ -42,7 +42,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.distance import keyword_profiles, pairwise_jaccard, take_submatrix
+from ..core.distance import (
+    first_appearance_index,
+    keyword_profiles,
+    pairwise_jaccard,
+    take_submatrix,
+)
 from ..core.task import Task, TaskPool
 
 #: Compact the profile matrix when fewer than this fraction of its rows is alive.
@@ -195,26 +200,21 @@ class IncrementalDiversityCache:
         """Profile pair for ``task_ids``, as
         :meth:`repro.core.instance.HTAInstance.prime` takes it: the distance
         block of the profiles they use and each task's index into it, so
-        ``take_submatrix(*pair)`` is their pairwise-diversity matrix.
+        ``take_submatrix(*pair)`` is their pairwise-diversity matrix.  (The
+        name predates the pair; perfbench's ``cache.carve`` span hooks it.)
 
         Returns ``None`` when any id is unknown (the solve then falls back
         to recomputing from keyword vectors) — this keeps the cache safe to
-        use as a :data:`repro.crowd.service.DiversityProvider` even if it
+        use as a :data:`repro.crowd.service.ProfilePairProvider` even if it
         drifts from the pool it mirrors.
         """
         try:
-            rows = np.fromiter(
-                (self._profile_of[tid] for tid in task_ids),
-                dtype=np.intp,
-                count=len(task_ids),
-            )
+            rows = [self._profile_of[tid] for tid in task_ids]
         except KeyError:
             return None
         self.carves += 1
-        # Profiles numbered by first appearance, as keyword_profiles does.
-        _, first, profile = np.unique(rows, return_index=True, return_inverse=True)
-        rank = np.argsort(np.argsort(first))
-        return take_submatrix(self._matrix, rows[np.sort(first)]), rank[profile]
+        first, profile = first_appearance_index(rows)
+        return take_submatrix(self._matrix, np.take(rows, first)), profile
 
     def attach(self, service) -> "IncrementalDiversityCache":
         """Wire this cache into an :class:`AssignmentService` (all hooks)."""

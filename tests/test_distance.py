@@ -8,6 +8,7 @@ from repro.core.distance import (
     angular_distance,
     check_metric_on_sample,
     euclidean_distance,
+    first_appearance_index,
     get_distance,
     hamming_distance,
     jaccard_distance,
@@ -190,6 +191,17 @@ class TestKeywordProfiles:
         assert profile.tolist() == [1, 2, 0, 2]
         assert np.array_equal(fresh, c[None, :])
         assert len(index) == 3
+
+    def test_first_appearance_numbering_is_shared(self):
+        # The serving cache numbers its carve's rows with the same helper,
+        # so both sides must agree with keyword_profiles on any input.
+        rng = np.random.default_rng(3)
+        rows = rng.random((60, 6)) < 0.3
+        _, profile = keyword_profiles(rows)
+        first, index = first_appearance_index(profile * 7 + 11)
+        assert index.tolist() == profile.tolist()
+        assert first.tolist() == sorted(first.tolist())
+        assert (index[first] == np.arange(len(first))).all()
 
     def test_empty_inputs(self):
         fresh, profile = keyword_profiles(np.zeros((0, 5), dtype=bool))

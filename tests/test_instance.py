@@ -108,3 +108,21 @@ class TestProfileDiversity:
         instance = self._instance(name)
         expected = pairwise_matrix(instance.tasks.matrix, name)
         assert np.array_equal(instance.diversity, expected)
+
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_prime_rejects_profile_index_out_of_range(self, past_end):
+        instance = self._instance("jaccard")
+        matrix, profile = instance.profile_pair
+        profile = profile.copy()
+        profile[3] = len(matrix) if past_end else -1
+        fresh = self._instance("jaccard")
+        with pytest.raises(InvalidInstanceError, match="profile indices"):
+            fresh.prime((matrix, profile))
+
+    def test_prime_rejects_mis_shaped_pair(self):
+        instance = self._instance("jaccard")
+        matrix, profile = instance.profile_pair
+        with pytest.raises(InvalidInstanceError, match="square matrix"):
+            self._instance("jaccard").prime((matrix[:, :-1], profile))
+        with pytest.raises(InvalidInstanceError, match="square matrix"):
+            self._instance("jaccard").prime((matrix, profile[:-1]))
