@@ -18,7 +18,7 @@ from repro.core.solvers import get_solver
 from repro.experiments import measure_point
 from repro.experiments.offline import ROW_HEADERS
 
-from conftest import N_TASKS_FIXED, WORKER_SWEEP, cached_instance
+from conftest import N_TASKS_FIXED, WORKER_SWEEP, cached_instance, interleaved_points
 
 
 @pytest.mark.parametrize("n_workers", WORKER_SWEEP)
@@ -31,14 +31,15 @@ def test_fig2c_response_time(benchmark, solver_name, n_workers):
 
 def test_fig2c_series(report):
     instances = [cached_instance(N_TASKS_FIXED, n) for n in WORKER_SWEEP]
-    # HTA-GRE's points are measured back to back, before HTA-APP's
-    # multi-second solves: the flatness check compares them with each
-    # other, and a shared host's speed can drift within seconds.  One
+    # HTA-GRE's points are measured before HTA-APP's multi-second solves,
+    # round by round (one solve per point per round): the flatness check
+    # compares them with each other, and a shared host's speed can drift
+    # within seconds, so a slow spell must spread over every point.  One
     # untimed solve goes first: a process's first solve pays one-off costs
     # (numpy imports numpy.ma on its first np.unique, ~20 ms) that would
     # otherwise land on the first point.
     measure_point("hta-gre", instances[0], n_repeats=1, rng=0)
-    gre = [measure_point("hta-gre", instance, rng=0) for instance in instances]
+    gre = interleaved_points("hta-gre", instances)
     app = [measure_point("hta-app", instance, rng=0) for instance in instances]
     report(
         format_table(

@@ -15,7 +15,13 @@ from repro.core.solvers import get_solver
 from repro.experiments import measure_point
 from repro.experiments.offline import ROW_HEADERS
 
-from conftest import GROUP_SWEEP, N_TASKS_FIXED, N_WORKERS, cached_instance
+from conftest import (
+    GROUP_SWEEP,
+    N_TASKS_FIXED,
+    N_WORKERS,
+    cached_instance,
+    interleaved_points,
+)
 
 
 @pytest.mark.parametrize("n_groups", GROUP_SWEEP)
@@ -30,11 +36,11 @@ def test_fig3_series(report):
     instances = [
         cached_instance(N_TASKS_FIXED, N_WORKERS, n_groups=n) for n in GROUP_SWEEP
     ]
-    # HTA-GRE's points are measured back to back, after one untimed solve,
-    # as in Fig. 2c: host speed drifts over the seconds HTA-APP's solves
-    # take, and a process's first solve pays one-off costs.
+    # HTA-GRE's points are measured round by round, after one untimed
+    # solve, as in Fig. 2c: host speed drifts over the seconds HTA-APP's
+    # solves take, and a process's first solve pays one-off costs.
     measure_point("hta-gre", instances[0], n_repeats=1, rng=0)
-    gre = [measure_point("hta-gre", instance, rng=0) for instance in instances]
+    gre = interleaved_points("hta-gre", instances)
     app = [measure_point("hta-app", instance, rng=0) for instance in instances]
     report(
         format_table(

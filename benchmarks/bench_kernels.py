@@ -10,10 +10,15 @@ replaced, on serving-path shapes:
 * **LSAP** — ``hungarian`` (the vectorized search) vs the index-array
   reference ``_hungarian_min_reference``, the oracle kept in
   :mod:`repro.matching.lsap`, on a square instance and on the wide
-  rectangular shape the serving path solves (clique columns of a few
-  workers against many candidate tasks).  Both run one augmentation per
-  row, so the ratio is the bookkeeping win; assignments are checked
-  identical, row for row, while timing.
+  rectangular shape the serving path solves (a few workers against many
+  candidate tasks).  Both run one augmentation per row, so the ratio is
+  the bookkeeping win; assignments are checked identical, row for row,
+  while timing.
+* **Quotient LSAP** — the pipeline's HTA-APP call on a Fig. 2 instance
+  (|T|=400 in 20-task groups, |W|=20, x_max=5): ``hungarian`` over
+  workers x twin classes, each worker taking x_max columns, vs the
+  reference on the expanded 100 x 400 clique rectangle it stands for.
+  Values are checked equal while timing.
 * **Greedy matching** — ``greedy_matching_dense`` walking keyword-profile
   pairs (the pipeline's call) vs the same walk with ``profile=None``,
   which is the task-pair walk it replaced, on a Fig. 2 instance (|T|=400
@@ -23,7 +28,9 @@ replaced, on serving-path shapes:
 
 All committed numbers are *speedup ratios* (reference time / kernel time),
 so the baseline is machine-portable; each is taken from the unrounded
-timings.  Standalone: ``python benchmarks/bench_kernels.py`` writes
+timings: the minimum of three back-to-back samples per side for Jaccard,
+of seven per side, the sides alternating, for the LSAP and matching.
+Standalone: ``python benchmarks/bench_kernels.py`` writes
 ``benchmarks/BENCH_kernels.json``; ``--check BASELINE.json`` re-runs and
 fails when any ratio drops below 1.0 (the kernel is slower than its
 oracle) or regresses >25% vs the committed baseline.
@@ -40,6 +47,8 @@ import time
 import numpy as np
 
 from repro.core.distance import pairwise_jaccard
+from repro.core.qap import build_encoding
+from repro.core.solvers import pipeline
 from repro.experiments import build_offline_instance
 from repro.matching.greedy import greedy_matching_dense, is_matching, matching_weight
 from repro.matching.lsap import _hungarian_min_reference, hungarian
@@ -52,8 +61,11 @@ LSAP_SQUARE = 300
 LSAP_RECT = (40, 400)  # workers x candidate tasks, the serving-path shape
 MATCHING_SHAPE = (400, 20, 20, 5)  # tasks, tasks per group, workers, x_max
 MATCHING_CALLS = 20  # walks per timed sample: one walk is ~1 ms
-MATCHING_REPEATS = 7  # interleaved samples per walk
-REPEATS = 3
+#: Samples per side of an LSAP or matching pair, taken alternately, so a
+#: slow spell of a shared host hits both sides and the minimum skips it
+#: (best-of-3 in a row let one spell cover a ~1 ms kernel's every sample).
+INTERLEAVED = 7
+REPEATS = 3  # back-to-back samples per Jaccard side
 
 #: Ratio metrics CI compares against the committed baseline (>25% fails);
 #: all are speedups, higher is better.
@@ -62,6 +74,7 @@ CHECKED_RATIOS = (
     "jaccard_cross_speedup",
     "lsap_square_speedup",
     "lsap_rect_speedup",
+    "lsap_quotient_speedup",
     "matching_profile_speedup",
 )
 REGRESSION_TOLERANCE = 0.25
@@ -81,6 +94,19 @@ def _best_of(fn, repeats: int = REPEATS) -> tuple[float, object]:
         result = fn()
         best = min(best, time.perf_counter() - started)
     return best, result
+
+
+def _interleaved(reference, kernel, samples: int = INTERLEAVED):
+    """Minimum wall time of each side over ``samples`` alternating runs,
+    plus each side's last result."""
+    best = [float("inf"), float("inf")]
+    results = [None, None]
+    for _ in range(samples):
+        for side, fn in enumerate((reference, kernel)):
+            started = time.perf_counter()
+            results[side] = fn()
+            best[side] = min(best[side], time.perf_counter() - started)
+    return best, results
 
 
 def int64_jaccard(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -128,14 +154,16 @@ def measure_jaccard() -> dict:
 def measure_lsap() -> dict:
     rng = np.random.default_rng(1)
     square = rng.random((LSAP_SQUARE, LSAP_SQUARE))
-    ref_sq_s, ref_sq = _best_of(lambda: _hungarian_min_reference(-square))
-    vec_sq_s, vec_sq = _best_of(lambda: hungarian(square))
+    (ref_sq_s, vec_sq_s), (ref_sq, vec_sq) = _interleaved(
+        lambda: _hungarian_min_reference(-square), lambda: hungarian(square)
+    )
     np.testing.assert_array_equal(vec_sq.row_to_col, ref_sq)
 
     n_rows, n_cols = LSAP_RECT
     rect = rng.random((n_rows, n_cols))
-    ref_rc_s, ref_rc = _best_of(lambda: _hungarian_min_reference(-rect))
-    vec_rc_s, vec_rc = _best_of(lambda: hungarian(rect))
+    (ref_rc_s, vec_rc_s), (ref_rc, vec_rc) = _interleaved(
+        lambda: _hungarian_min_reference(-rect), lambda: hungarian(rect)
+    )
     np.testing.assert_array_equal(vec_rc.row_to_col, ref_rc)
 
     return {
@@ -148,6 +176,39 @@ def measure_lsap() -> dict:
     }
 
 
+def fig2_quotient_input(seed: int = 3):
+    """HTA-APP's LSAP input on a Fig. 2 instance, built as the pipeline
+    builds it: per-worker profits over the shuffled tasks, and their twin
+    classes."""
+    instance = build_offline_instance(*MATCHING_SHAPE, rng=seed)
+    encoding = build_encoding(instance)
+    rng = np.random.default_rng(seed)
+    matching = pipeline._diversity_matching(encoding, "greedy", rng)
+    weights = pipeline._matched_edge_weights(encoding, matching)
+    order = rng.permutation(encoding.n_vertices)
+    profit = np.ascontiguousarray(encoding.profit_matrix(weights)[order].T)
+    return profit, encoding.x_max, pipeline.twin_classes(encoding, weights, order)
+
+
+def measure_quotient() -> dict:
+    profit, supply, classes = fig2_quotient_input()
+    expanded = np.repeat(profit, supply, axis=0)
+    (ref_s, quotient_s), (reference, quotient) = _interleaved(
+        lambda: _hungarian_min_reference(-expanded),
+        lambda: hungarian(profit, supply, classes),
+    )
+    optimum = expanded[np.arange(len(expanded)), reference].sum()
+    assert abs(quotient.value - optimum) <= 1e-9 * max(1.0, abs(optimum)), (
+        "quotient solve missed the expanded optimum"
+    )
+    return {
+        "shape": list(expanded.shape),
+        "classes": int(classes.max()) + 1,
+        "expanded_reference_seconds": ref_s,
+        "quotient_seconds": quotient_s,
+    }
+
+
 def measure_matching() -> dict:
     instance = build_offline_instance(*MATCHING_SHAPE, rng=2)
     weights, profile = instance.diversity, instance.profile_pair[1]
@@ -155,15 +216,9 @@ def measure_matching() -> dict:
     def walks(labels):
         return [greedy_matching_dense(weights, labels) for _ in range(MATCHING_CALLS)][-1]
 
-    # The profile walk's sample is ~7 ms, short enough for one slow spell
-    # of a shared host to cover three in a row; interleaving the two walks'
-    # samples makes a spell hit both, and the minimum skips it.
-    task_s = profile_s = float("inf")
-    for _ in range(MATCHING_REPEATS):
-        seconds, task_walk = _best_of(lambda: walks(None), repeats=1)
-        task_s = min(task_s, seconds)
-        seconds, profile_walk = _best_of(lambda: walks(profile), repeats=1)
-        profile_s = min(profile_s, seconds)
+    (task_s, profile_s), (task_walk, profile_walk) = _interleaved(
+        lambda: walks(None), lambda: walks(profile)
+    )
     assert is_matching(task_walk) and is_matching(profile_walk)
     assert matching_weight(weights, profile_walk) >= 0.5 * matching_weight(
         weights, task_walk
@@ -190,11 +245,13 @@ def _rounded(timings: dict) -> dict:
 def measure() -> dict:
     jaccard = measure_jaccard()
     lsap = measure_lsap()
+    quotient = measure_quotient()
     matching = measure_matching()
     return {
         "benchmark": "perf_kernels",
         "jaccard": _rounded(jaccard),
         "lsap": _rounded(lsap),
+        "lsap_quotient": _rounded(quotient),
         "matching": {
             key: round(value, 6) if key.endswith("_seconds") else value
             for key, value in matching.items()
@@ -210,6 +267,9 @@ def measure() -> dict:
         ),
         "lsap_rect_speedup": _speedup(
             lsap["rect_reference_seconds"], lsap["rect_vectorized_seconds"]
+        ),
+        "lsap_quotient_speedup": _speedup(
+            quotient["expanded_reference_seconds"], quotient["quotient_seconds"]
         ),
         "matching_profile_speedup": _speedup(
             matching["task_walk_seconds"], matching["profile_walk_seconds"]
@@ -245,6 +305,7 @@ def test_kernels_beat_references(report):
     assert record["jaccard"]["bit_identical"]
     assert record["jaccard_square_speedup"] > 1.0
     assert record["lsap_rect_speedup"] > 1.0
+    assert record["lsap_quotient_speedup"] > 1.0
     assert record["matching_profile_speedup"] > 1.0
 
 

@@ -9,12 +9,14 @@ they also accumulate into ``benchmarks/last_run_report.txt``).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import pathlib
 
+import numpy as np
 import pytest
 
-from repro.experiments import build_offline_instance
+from repro.experiments import build_offline_instance, measure_point
 
 REPORT_PATH = pathlib.Path(__file__).parent / "last_run_report.txt"
 
@@ -43,6 +45,32 @@ def cached_instance(n_tasks: int, n_workers: int, n_groups: int | None = None):
     instance.diversity
     instance.relevance
     return instance
+
+
+def interleaved_points(solver_name: str, instances, rounds: int = 3) -> list:
+    """``measure_point(solver_name, instance, n_repeats=rounds, rng=0)`` for
+    each instance, with the solves taken round by round across the
+    instances: a slow spell of a shared host then spreads over every point
+    instead of landing on one.  Each instance keeps its own generator, so
+    the solves, and the averages, are those of the back-to-back repeats."""
+    generators = [np.random.default_rng(0) for _ in instances]
+    by_round = [
+        [
+            measure_point(solver_name, instance, n_repeats=1, rng=generator)
+            for instance, generator in zip(instances, generators)
+        ]
+        for _ in range(rounds)
+    ]
+    return [
+        dataclasses.replace(
+            samples[0],
+            **{
+                field: float(np.mean([getattr(p, field) for p in samples]))
+                for field in ("total_time", "matching_time", "lsap_time", "objective")
+            },
+        )
+        for samples in zip(*by_round)
+    ]
 
 
 @functools.lru_cache(maxsize=None)

@@ -122,17 +122,21 @@ class QAPEncoding:
 
     def profit_matrix(self, matched_weight: np.ndarray) -> np.ndarray:
         """The auxiliary LSAP profits ``f[k, l] = bM(t_k) * degA_l + c[k, l]``
-        (Algorithm 1 line 10), without materializing ``C``."""
+        (Algorithm 1 line 10), one column per worker.
+
+        ``degA_l`` and ``c[k, l]`` depend only on the worker owning clique
+        column ``l`` (Eqs. 4-6), so a worker's ``x_max`` clique columns are
+        identical and column ``q`` here stands for all of them; on the
+        isolated columns ``f`` is zero.  Returns the ``(n, n_workers)``
+        matrix, without materializing ``C``.
+        """
         if matched_weight.shape != (self.n_vertices,):
             raise InvalidInstanceError(
                 f"matched_weight must have shape ({self.n_vertices},), "
                 f"got {matched_weight.shape}"
             )
-        f = np.outer(matched_weight, self.deg_a)
-        owners = self.worker_of_vertex
-        clique_cols = np.flatnonzero(owners >= 0)
-        f[:, clique_cols] += self.c_matrix_compact[:, owners[clique_cols]]
-        return f
+        deg = self.alphas * (self.x_max - 1)
+        return np.outer(matched_weight, deg) + self.c_matrix_compact
 
     def objective(self, permutation: np.ndarray) -> float:
         """Eq. 8's right-hand side for ``permutation`` (vertex of each task).

@@ -7,9 +7,11 @@ in expectation (Theorem 3).
 
 The paper solves the square ``|T| x |T|`` LSAP in ``O(|T|^3)``, the dominant
 cost (Lemma 3); ``lsap_shape="square"`` keeps that.  The default solves the
-same optimum over the ``|W| * x_max`` clique columns only, in
-``O((|W| x_max)^2 |T|)``, so the ``O(|T|^2 log |T|)`` diversity matching
-bounds the solve instead.
+same optimum over the ``|W| * x_max`` clique columns only, as a
+transportation problem from workers (``x_max`` tasks each) to classes of
+twin tasks (one keyword profile, one matched weight), in
+``O((|W| x_max)^2 n_classes)``, so the ``O(|T|^2 log |T|)`` diversity
+matching bounds the solve instead (docs/THEORY.md, "The quotient LSAP").
 """
 
 from __future__ import annotations

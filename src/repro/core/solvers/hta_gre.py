@@ -29,8 +29,9 @@ class HTAGreSolver(Solver):
         matching_method: Matching used on ``B``.
         n_swap_samples: Swap draws to evaluate (1 = paper's algorithm).
         lsap_shape: ``"clique"`` (default; the greedy LSAP sorts
-            ``|W| * x_max * |T|`` entries) or the paper's ``"square"`` one
-            (``|T|^2`` entries); see :func:`run_qap_pipeline`.
+            ``|W| * |T|`` entries, each worker taking up to ``x_max``) or
+            the paper's ``"square"`` one (``|T|^2`` entries); see
+            :func:`run_qap_pipeline`.
     """
 
     name = "hta-gre"

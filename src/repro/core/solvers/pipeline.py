@@ -7,17 +7,23 @@ auxiliary LSAP (line 11) is solved:
 2. *matching* — a (greedy) maximum-weight matching ``M_B`` on the diversity
    graph ``B``, walked by pairs of keyword profiles (index read in *encode*);
 3. *profits* — the auxiliary LSAP profit matrix
-   ``f[k, l] = bM(t_k) * degA_l + c[k, l]`` (line 10), with its rows
-   shuffled and, by default, cut to the clique columns;
+   ``f[k, l] = bM(t_k) * degA_l + c[k, l]`` (line 10), one column per
+   worker (a worker's ``x_max`` clique columns are identical), with its
+   task rows shuffled; for HTA-APP also the twin-class index of the
+   shuffled tasks (one keyword profile, one ``bM``: identical columns);
 4. *lsap* — solve the LSAP: Hungarian for HTA-APP, greedy for HTA-GRE.
-   By default only the ``|W| * x_max`` clique columns enter the solver, as
-   a rectangular ``(|W| * x_max) x |T|`` problem: ``f`` is identically zero
-   on the isolated columns (``degA_l`` and ``c[., l]`` both vanish there),
-   so a task placed on one adds nothing, and the best injective map from
-   clique columns to tasks has the value of the paper's square ``n x n``
-   optimum.  The unplaced tasks then take the interchangeable isolated
-   vertices in ascending order.  ``lsap_shape="square"`` keeps the paper's
-   formulation (the Fig. 2/3 reproduction times it);
+   By default only the clique columns enter the solver: ``f`` is
+   identically zero on the isolated columns (``degA_l`` and ``c[., l]``
+   both vanish there), so a task placed on one adds nothing, and the best
+   injective map from clique columns to tasks has the value of the
+   paper's square ``n x n`` optimum.  It is solved as a transportation
+   problem, workers as rows each taking ``x_max`` tasks: HTA-APP's
+   Hungarian searches over workers x twin classes, HTA-GRE's greedy over
+   workers x tasks (entry for entry the greedy on the
+   ``(|W| * x_max) x |T|`` rectangle).  The unplaced tasks then take the
+   interchangeable isolated vertices in ascending order.
+   ``lsap_shape="square"`` keeps the paper's formulation (the Fig. 2/3
+   reproduction times it);
 5. *swap + decode* — place the LSAP's answer back into a vertex
    permutation, per matched edge swap the two tasks' vertices with
    probability 1/2 (lines 12-16), then read off ``T_wq`` via Eq. 7.
@@ -39,6 +45,7 @@ from ...matching.exact import MAX_EXACT_VERTICES, exact_max_weight_matching
 from ...matching.greedy import greedy_matching_dense
 from ...matching.lsap import solve_lsap
 from ...rng import ensure_rng
+from ..distance import first_appearance_index
 from ..qap import QAPEncoding, build_encoding
 from ..instance import HTAInstance
 
@@ -79,8 +86,8 @@ def run_qap_pipeline(
             best by QAP objective is kept.  ``1`` reproduces the paper's
             algorithm exactly; larger values are a practical derandomization
             knob (the 1/4 and 1/8 factors hold *in expectation* over swaps).
-        lsap_shape: ``"clique"`` (default) solves the rectangular
-            ``(|W| * x_max) x |T|`` LSAP over the clique columns;
+        lsap_shape: ``"clique"`` (default) solves the LSAP over the
+            clique columns, as workers taking ``x_max`` tasks each;
             ``"square"`` solves the paper's ``n x n`` one.  Both reach the
             same optimum; tie-broken choices may differ.
     """
@@ -110,16 +117,22 @@ def run_qap_pipeline(
     # it also holds in expectation over a uniform one.
     row_order = generator.permutation(encoding.n_vertices)
     n_clique = encoding.n_workers * encoding.x_max
+    supply, classes = 1, None
     if lsap_shape == "square":
-        lsap_profits = profits[row_order]
+        lsap_profits = np.zeros((encoding.n_vertices, encoding.n_vertices))
+        lsap_profits[:, :n_clique] = np.repeat(
+            profits[row_order], encoding.x_max, axis=1
+        )
     else:
-        # Clique columns become rows and the shuffled tasks columns, so
-        # n_rows <= n_cols holds.
-        lsap_profits = np.ascontiguousarray(profits[row_order, :n_clique].T)
+        # Workers become rows, each taking x_max of the shuffled tasks.
+        lsap_profits = np.ascontiguousarray(profits[row_order].T)
+        supply = encoding.x_max
+        if lsap_method == "hungarian":
+            classes = twin_classes(encoding, matched_weight, row_order)
     timings["profits"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    row_to_col = solve_lsap(lsap_profits, lsap_method).row_to_col
+    row_to_col = solve_lsap(lsap_profits, lsap_method, supply, classes).row_to_col
     timings["lsap"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -164,6 +177,19 @@ def check_lsap_shape(lsap_shape: str) -> str:
             f"unknown lsap_shape {lsap_shape!r}; use 'clique' or 'square'"
         )
     return lsap_shape
+
+
+def twin_classes(
+    encoding: QAPEncoding, matched_weight: np.ndarray, order: np.ndarray
+) -> np.ndarray:
+    """Class index of the tasks ``order`` lists: twins share a class.
+
+    Tasks with one keyword profile and one matched weight ``bM`` have
+    identical profit columns (relevance depends only on the profile), so
+    the Hungarian kernel can solve over these classes.
+    """
+    keys = zip(encoding.profile[order].tolist(), matched_weight[order].tolist())
+    return first_appearance_index(list(keys))[1]
 
 
 def _diversity_matching(

@@ -8,14 +8,21 @@ HTA-GRE replaces it with a greedy bipartite matching (1/2-approximation,
 pseudo-polynomial alternatives; we include an auction solver for the
 ablation benchmark.
 
-All solvers share the same interface: they take a dense profit matrix with
-``n_rows <= n_cols`` and return an :class:`LSAPSolution` mapping every row to
-a distinct column.
+All solvers share one interface, :func:`solve_lsap`: a dense profit matrix
+whose every row takes ``supply`` distinct columns (``n_rows * supply <=
+n_cols``), returned as an :class:`LSAPSolution` whose ``row_to_col`` lists
+row ``r``'s columns at ``[r * supply, (r + 1) * supply)``.  With ``supply``
+above one this is the LSAP of ``np.repeat(profit, supply, axis=0)``, the
+rectangle of identical rows the HTA pipeline's worker cliques give, solved
+without building it.  An optional ``classes`` index promises that columns
+of one class are identical (twin tasks), and the Hungarian kernel then
+searches over classes instead of columns.
 
 Implementations are from scratch (no scipy):
 
-* :func:`hungarian` — shortest-augmenting-path Hungarian with potentials
-  (the classic ``O(n^3)`` formulation), numpy-vectorized inner loop;
+* :func:`hungarian` — successive shortest paths with potentials over rows
+  and column classes (the classic Hungarian search when every column is
+  its own class), numpy-vectorized inner loop;
 * :func:`greedy_lsap` — sort all entries, take greedily (1/2-approx);
 * :func:`auction_lsap` — Bertsekas forward auction with epsilon scaling;
 * :func:`brute_force_lsap` — exhaustive oracle for tiny instances.
@@ -40,7 +47,9 @@ class LSAPSolution:
     """An assignment of rows to columns.
 
     Attributes:
-        row_to_col: ``row_to_col[k]`` is the column assigned to row ``k``.
+        row_to_col: ``row_to_col[k]`` is the column assigned to row slot
+            ``k``; row ``r`` of a ``supply``-column solve owns slots
+            ``[r * supply, (r + 1) * supply)``.
         value: Total profit of the assignment.
     """
 
@@ -53,7 +62,7 @@ class LSAPSolution:
         )
 
     def is_valid(self, n_cols: int) -> bool:
-        """True if every row has a distinct, in-range column."""
+        """True if every row slot has a distinct, in-range column."""
         cols = self.row_to_col
         return (
             cols.min(initial=0) >= 0
@@ -62,111 +71,200 @@ class LSAPSolution:
         )
 
 
-def _check_profit(profit: np.ndarray) -> np.ndarray:
+def _check_profit(profit: np.ndarray, supply: int = 1) -> np.ndarray:
     matrix = np.asarray(profit, dtype=float)
     if matrix.ndim != 2:
         raise InvalidInstanceError(f"profit matrix must be 2-D, got {matrix.ndim}-D")
-    if matrix.shape[0] > matrix.shape[1]:
+    if supply < 1:
+        raise InvalidInstanceError(f"supply must be >= 1, got {supply}")
+    if matrix.shape[0] * supply > matrix.shape[1]:
         raise InvalidInstanceError(
-            f"need n_rows <= n_cols, got shape {matrix.shape}; transpose the input"
+            f"need n_rows * supply <= n_cols, got shape {matrix.shape} with "
+            f"supply {supply}; transpose the input"
         )
     if not np.isfinite(matrix).all():
         raise InvalidInstanceError("profit matrix contains non-finite values")
     return matrix
 
 
-def _value(profit: np.ndarray, row_to_col: np.ndarray) -> float:
-    return float(profit[np.arange(len(row_to_col)), row_to_col].sum())
+def _class_members(
+    matrix: np.ndarray, classes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The columns grouped by class, each class ascending, and where each
+    class starts in that order; checks that one class's columns are
+    identical."""
+    labels = np.asarray(classes)
+    if labels.shape != (matrix.shape[1],) or not np.issubdtype(
+        labels.dtype, np.integer
+    ):
+        raise InvalidInstanceError(
+            f"classes must be {matrix.shape[1]} integer labels, got "
+            f"{labels.dtype} of shape {labels.shape}"
+        )
+    _, first, index = np.unique(labels, return_index=True, return_inverse=True)
+    if not (matrix == matrix[:, first[index]]).all():
+        raise InvalidInstanceError("classes join columns that are not identical")
+    start = np.zeros(len(first) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(index), out=start[1:])
+    return np.argsort(index, kind="stable"), start
 
 
-def hungarian(profit: np.ndarray) -> LSAPSolution:
-    """Optimal maximization LSAP via shortest augmenting paths.
+def _value(profit: np.ndarray, row_to_col: np.ndarray, supply: int = 1) -> float:
+    rows = np.repeat(np.arange(profit.shape[0]), supply)
+    return float(profit[rows, row_to_col].sum())
 
-    Runs the textbook Hungarian algorithm with row/column potentials on the
-    negated matrix (max-profit == min-cost), one augmentation per row, so a
-    rectangle costs ``O(n_rows^2 n_cols)``.  The search is
-    :func:`hungarian_min_rect`, which keeps incremental search state;
-    :func:`_hungarian_min_reference` rebuilds it with index arrays and is
-    the oracle the tests and ``benchmarks/bench_kernels.py`` hold it to.  Both break ties
-    identically, so they return the same assignment on every input.
+
+def hungarian(
+    profit: np.ndarray, supply: int = 1, classes: "np.ndarray | None" = None
+) -> LSAPSolution:
+    """Optimal maximization LSAP via successive shortest paths.
+
+    Min-cost flow on the negated matrix (max-profit == min-cost): rows are
+    sources of ``supply`` units, column classes are sinks holding one unit
+    per column, and each augmentation pushes one unit from the current
+    row along a shortest path of reduced costs, with row and class
+    potentials.  Class columns are interchangeable, so the search walks
+    ``n_rows x n_classes`` instead of the columns; reaching a full class
+    reaches every row holding a unit of it at once.  See
+    :func:`_transport_min` for the tie rules.  With ``supply=1`` and no
+    ``classes`` this is the textbook Hungarian search, entry for entry
+    :func:`_hungarian_min_reference`, which stays as its oracle; a
+    rectangle costs ``O(n_rows^2 n_cols)``, a quotient one ``O((n_rows
+    supply)^2 n_classes)`` plus the checks.
+
+    Args:
+        profit: ``(n_rows, n_cols)`` matrix, ``n_rows * supply <= n_cols``.
+        supply: Distinct columns each row takes.
+        classes: Optional ``(n_cols,)`` integer class of each column;
+            columns of one class must be identical, else the input is
+            refused.
 
     >>> hungarian(np.array([[4., 1.], [2., 3.]])).value
     7.0
+    >>> hungarian(np.array([[3., 3., 1., 1.]]), supply=2, classes=[0, 0, 1, 1])
+    LSAPSolution(row_to_col=array([0, 1]), value=6.0)
     """
-    matrix = _check_profit(profit)
-    row_to_col = hungarian_min_rect(-matrix)
-    return LSAPSolution(row_to_col, _value(matrix, row_to_col))
+    matrix = _check_profit(profit, supply)
+    if classes is None:
+        members = np.arange(matrix.shape[1])
+        start = np.arange(matrix.shape[1] + 1)
+    else:
+        members, start = _class_members(matrix, classes)
+    cost = -matrix[:, members[start[:-1]]]
+    holders = _transport_min(
+        cost, supply, members, start, tie_by_column=classes is not None
+    )
+    rows: list[int] = []
+    cols: list[int] = []
+    for c, holding in enumerate(holders):
+        if holding:
+            rows += sorted(holding)
+            cols += members[start[c] : start[c] + len(holding)].tolist()
+    order = np.lexsort((cols, rows))
+    row_to_col = np.asarray(cols, dtype=np.intp)[order]
+    return LSAPSolution(row_to_col, _value(matrix, row_to_col, supply))
 
 
-def hungarian_min_rect(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost assignment of every row of a rectangular cost matrix.
+def _transport_min(
+    cost: np.ndarray,
+    supply: int,
+    members: np.ndarray,
+    start: np.ndarray,
+    tie_by_column: bool,
+) -> list[list[int]]:
+    """Minimum-cost transportation from rows to column classes.
 
-    The dual-potential search of :func:`_hungarian_min_reference`, one
-    augmentation per row, with incremental state in place of the
-    reference's per-step index arrays: the visited-column list grows in
-    place and the frontier argmin is one masked ``argmin`` over the
-    columns.  It visits columns in the reference order with the same
-    first-minimum tie-breaking, so the two return the same assignment
-    entry for entry.
-
-    Args:
-        cost: ``(n_rows, n_cols)`` float matrix with ``n_rows <= n_cols``
-            and finite entries (callers validate).
+    Row ``r`` ships ``supply`` units and class ``c``, whose columns are
+    ``members[start[c]:start[c + 1]]`` in ascending order, takes one unit
+    per column; ``cost[r, c]`` is the cost of one unit.  Rows push
+    in order, one unit per search.  The search is the Hungarian one with
+    classes in place of columns: ``u``/``v`` are row/class potentials,
+    ``minv`` the tentative reduced distance of each class not yet reached,
+    ``way[c]`` the row that reached class ``c`` and ``via[r]`` the class
+    through which row ``r`` was reached.  Each step reaches the closest
+    class; a class with a free column ends the search, a full one brings in
+    the rows holding it, which relax in ascending order.  Ties among the
+    closest classes go to the first in index order, or, with
+    ``tie_by_column``, to the class whose lowest free column comes first
+    (a full class counts its last column), mirroring the column search's
+    lowest-index rule; that keeps twins of one class from piling into one
+    row when another class is as good.
 
     Returns:
-        ``row_to_col`` of shape ``(n_rows,)`` — distinct columns minimizing
-        the total cost.
+        For each class, the rows holding its units (one entry per unit).
     """
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    n_rows, n_cols = cost.shape
-    if n_rows > n_cols:
-        raise ValueError(f"need n_rows <= n_cols, got shape {cost.shape}")
-    if n_rows == 0:
-        return np.empty(0, dtype=np.intp)
-    u = np.zeros(n_rows + 1)
-    v = np.zeros(n_cols + 1)
-    p = np.zeros(n_cols + 1, dtype=np.intp)  # column -> matched row (1-based)
-    way = np.zeros(n_cols + 1, dtype=np.intp)
-    visited = np.empty(n_cols + 1, dtype=np.intp)
-    for i in range(1, n_rows + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n_cols + 1, np.inf)
-        inner_minv = minv[1:]
-        used = np.zeros(n_cols + 1, dtype=bool)
-        free = np.ones(n_cols, dtype=bool)
-        n_visited = 0
-        while True:
-            used[j0] = True
-            if j0:
-                free[j0 - 1] = False
-            visited[n_visited] = j0
-            n_visited += 1
-            i0 = p[j0]
-            # Reduced cost of extending the path through column j0's row.
-            cur = cost[i0 - 1] - u[i0] - v[1:]
-            better = free & (cur < inner_minv)
-            inner_minv[better] = cur[better]
-            way[1:][better] = j0
-            frontier = np.where(free, inner_minv, np.inf)
-            j1_offset = int(frontier.argmin())
-            delta = frontier[j1_offset]
-            # Update potentials: matched part shifts by delta, frontier shrinks.
-            path_cols = visited[:n_visited]
-            u[p[path_cols]] += delta
-            v[path_cols] -= delta
-            inner_minv[free] -= delta
-            j0 = j1_offset + 1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    row_to_col = np.empty(n_rows, dtype=np.intp)
-    matched = np.flatnonzero(p[1:])
-    row_to_col[p[1:][matched] - 1] = matched
-    return row_to_col
+    n_rows, n_classes = cost.shape
+    capacity = np.diff(start)
+    taken = np.zeros(n_classes, dtype=np.intp)
+    key = members[start[:-1]]
+    holders: list[list[int]] = [[] for _ in range(n_classes)]
+    u = np.zeros(n_rows)
+    v = np.zeros(n_classes)
+    way = np.zeros(n_classes, dtype=np.intp)
+    via = np.zeros(n_rows, dtype=np.intp)
+    seen_rows = np.empty(n_rows, dtype=np.intp)
+    seen_classes = np.empty(n_classes, dtype=np.intp)
+    for source in range(n_rows):
+        for _ in range(supply):
+            minv = np.full(n_classes, np.inf)
+            open_ = np.ones(n_classes, dtype=bool)
+            row_seen = np.zeros(n_rows, dtype=bool)
+            row_seen[source] = True
+            seen_rows[0] = source
+            n_seen_rows, n_seen_classes = 1, 0
+            new_rows = [source]
+            while True:
+                # Reduced cost of reaching each class from the new rows (a
+                # full class may bring none: its holders are in the tree).
+                if len(new_rows) == 1:
+                    r = new_rows[0]
+                    cur = cost[r] - u[r] - v
+                    better = open_ & (cur < minv)
+                    minv[better] = cur[better]
+                    way[better] = r
+                elif new_rows:
+                    block = cost[new_rows] - u[new_rows][:, None] - v
+                    best = block.argmin(axis=0)
+                    cur = block[best, np.arange(n_classes)]
+                    better = open_ & (cur < minv)
+                    minv[better] = cur[better]
+                    way[better] = np.asarray(new_rows)[best[better]]
+                # Reached classes hold inf in minv, so it is the frontier.
+                c = int(minv.argmin())
+                delta = minv[c]
+                if tie_by_column:
+                    tied = np.flatnonzero(minv == delta)
+                    if len(tied) > 1:
+                        c = int(tied[key[tied].argmin()])
+                # Update potentials: the tree shifts by delta, the frontier
+                # shrinks.
+                u[seen_rows[:n_seen_rows]] += delta
+                v[seen_classes[:n_seen_classes]] -= delta
+                minv -= delta
+                minv[c] = np.inf
+                open_[c] = False
+                seen_classes[n_seen_classes] = c
+                n_seen_classes += 1
+                if taken[c] < capacity[c]:
+                    break
+                new_rows = sorted({r for r in holders[c] if not row_seen[r]})
+                for r in new_rows:
+                    row_seen[r] = True
+                    via[r] = c
+                    seen_rows[n_seen_rows] = r
+                    n_seen_rows += 1
+            # Augment: each row on the path hands its unit of the class that
+            # reached it to the row before it.
+            taken[c] += 1
+            key[c] = members[start[c] + min(taken[c], capacity[c] - 1)]
+            r = int(way[c])
+            holders[c].append(r)
+            while r != source:
+                c = int(via[r])
+                holders[c].remove(r)
+                r = int(way[c])
+                holders[c].append(r)
+    return holders
 
 
 def _hungarian_min_reference(cost: np.ndarray) -> np.ndarray:
@@ -220,43 +318,49 @@ def _hungarian_min_reference(cost: np.ndarray) -> np.ndarray:
     return row_to_col
 
 
-def greedy_lsap(profit: np.ndarray) -> LSAPSolution:
+def greedy_lsap(profit: np.ndarray, supply: int = 1) -> LSAPSolution:
     """Greedy bipartite matching on the profit matrix (HTA-GRE's LSAP step).
 
     Sorts all ``n_rows * n_cols`` entries by decreasing profit and assigns
-    each (row, column) pair whose row and column are both free.  Because the
-    bipartite graph is complete, the result is always a perfect matching on
-    the rows, and GreedyMatching's 1/2 bound applies (Lemma 4).
+    each (row, column) pair whose column is free and whose row has taken
+    fewer than ``supply`` columns; row ``r``'s ``k``-th column fills slot
+    ``r * supply + k``.  Because the bipartite graph is complete, every row
+    ends with ``supply`` columns, and GreedyMatching's 1/2 bound applies
+    (Lemma 4).  The output is entry for entry that of the slot-level walk,
+    ``greedy_lsap(np.repeat(profit, supply, axis=0))``: a row's copies are
+    adjacent in that walk's order, so among equal profits a row fills its
+    free slots from its lowest free columns before the next row moves,
+    exactly as here.
 
     The entries are visited in the stable order of decreasing profit, in
-    chunks that double from ``n_cols`` entries.  Taken rows and columns only
-    accumulate, so an entry whose row or column is taken before its chunk
-    starts would be skipped anyway; numpy drops those and only the
+    chunks that double from ``n_cols`` entries.  Full rows and taken columns
+    only accumulate, so an entry whose row or column is done before its
+    chunk starts would be skipped anyway; numpy drops those and only the
     survivors reach the Python check.  The output is entry for entry that
     of the one-entry-at-a-time loop.
 
     Complexity ``O(n^2 log n)``.
     """
-    matrix = _check_profit(profit)
+    matrix = _check_profit(profit, supply)
     n_rows, n_cols = matrix.shape
     order = np.argsort(-matrix, axis=None, kind="stable")
-    row_free = np.ones(n_rows, dtype=bool)
+    row_left = np.full(n_rows, supply, dtype=np.intp)
     col_free = np.ones(n_cols, dtype=bool)
-    row_to_col = np.full(n_rows, -1, dtype=np.intp)
+    row_to_col = np.full(n_rows * supply, -1, dtype=np.intp)
     assigned = 0
     start, chunk = 0, n_cols
-    while assigned < n_rows and start < order.size:
+    while assigned < n_rows * supply and start < order.size:
         rows, cols = np.divmod(order[start : start + chunk], n_cols)
         start += chunk
         chunk *= 2
-        live = row_free[rows] & col_free[cols]
+        live = (row_left[rows] > 0) & col_free[cols]
         for r, c in zip(rows[live].tolist(), cols[live].tolist()):
-            if row_free[r] and col_free[c]:
-                row_to_col[r] = c
-                row_free[r] = False
+            if row_left[r] and col_free[c]:
+                row_to_col[(r + 1) * supply - row_left[r]] = c
+                row_left[r] -= 1
                 col_free[c] = False
                 assigned += 1
-    return LSAPSolution(row_to_col, _value(matrix, row_to_col))
+    return LSAPSolution(row_to_col, _value(matrix, row_to_col, supply))
 
 
 def auction_lsap(profit: np.ndarray, precision: float = 1e-6) -> LSAPSolution:
@@ -339,11 +443,23 @@ _SOLVERS = {
 }
 
 
-def solve_lsap(profit: np.ndarray, method: str = "hungarian") -> LSAPSolution:
-    """Dispatch to a named LSAP solver.
+def solve_lsap(
+    profit: np.ndarray,
+    method: str = "hungarian",
+    supply: int = 1,
+    classes: "np.ndarray | None" = None,
+) -> LSAPSolution:
+    """Dispatch to a named LSAP solver; every row takes ``supply`` columns.
+
+    ``classes`` (columns of one class identical) lets the Hungarian kernel
+    search over classes; the other methods check it and solve over
+    columns.  The auction and brute-force solvers see the rows repeated
+    ``supply`` times, so their answers are those of the expanded rectangle.
 
     >>> solve_lsap(np.array([[4., 1.], [2., 3.]]), "greedy").value
     7.0
+    >>> solve_lsap(np.array([[4., 1., 3.]]), "greedy", supply=2).row_to_col
+    array([0, 2])
     """
     try:
         solver = _SOLVERS[method]
@@ -352,7 +468,14 @@ def solve_lsap(profit: np.ndarray, method: str = "hungarian") -> LSAPSolution:
         raise InvalidInstanceError(
             f"unknown LSAP method {method!r}; known methods: {known}"
         ) from None
-    return solver(profit)
+    if solver is hungarian:
+        return hungarian(profit, supply, classes)
+    matrix = _check_profit(profit, supply)
+    if classes is not None:
+        _class_members(matrix, classes)
+    if solver is greedy_lsap:
+        return greedy_lsap(matrix, supply)
+    return solver(np.repeat(matrix, supply, axis=0))
 
 
 def lsap_methods() -> tuple[str, ...]:

@@ -76,8 +76,10 @@ from ..errors import ReproError
 #: every later random draw differs from a version-3 run.  Version 5 walks
 #: the greedy diversity matching by keyword-profile pair: ties among task
 #: pairs break by profile pair, so matched edges, and the displays built on
-#: them, differ from a version-4 run.
-JOURNAL_VERSION = 5
+#: them, differ from a version-4 run.  Version 6 solves HTA-APP's clique
+#: LSAP over workers and twin classes of tasks: the optimum is the same,
+#: but tie-broken task choices differ from a version-5 run.
+JOURNAL_VERSION = 6
 
 #: Required fields per event type (beyond ``type`` and ``seq``); an event
 #: with a missing field or an unknown type is schema drift and fails load.

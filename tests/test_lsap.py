@@ -1,4 +1,5 @@
-"""LSAP solver tests: Hungarian optimality, greedy bound, auction accuracy."""
+"""LSAP solver tests: Hungarian optimality, greedy bound, auction accuracy,
+and the supply/class (quotient) forms of the Hungarian and greedy kernels."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.matching import (
     lsap_methods,
     solve_lsap,
 )
+from repro.matching.lsap import _hungarian_min_reference
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
@@ -92,6 +94,104 @@ class TestGreedyLSAP:
         profit = np.array([[10.0, 9.0], [9.0, 0.0]])
         assert greedy_lsap(profit).value == 10.0
         assert hungarian(profit).value == 18.0
+
+
+def twin_rectangle(rng, integer: bool):
+    """A profit matrix whose columns come in classes of identical twins."""
+    n_rows = int(rng.integers(1, 6))
+    supply = int(rng.integers(1, 5))
+    n_classes = int(rng.integers(1, 8))
+    n_cols = n_rows * supply + int(rng.integers(0, 10))
+    if integer:
+        reps = rng.integers(-1, 3, size=(n_rows, n_classes)).astype(float)
+    else:
+        reps = rng.random((n_rows, n_classes)) * 10 - 2
+    classes = rng.integers(0, n_classes, size=n_cols)
+    return reps[:, classes], supply, classes
+
+
+class TestSupplyAndClasses:
+    """Each row takes ``supply`` columns; ``classes`` groups identical ones.
+
+    At unit supply without classes the kernel is held to the reference
+    entry for entry in ``tests/test_perf_kernels.py``."""
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_quotient_value_matches_expanded_optimum(self, integer):
+        rng = np.random.default_rng(22 + integer)
+        for _ in range(60):
+            profit, supply, classes = twin_rectangle(rng, integer)
+            expanded = np.repeat(profit, supply, axis=0)
+            reference = _hungarian_min_reference(-expanded)
+            optimum = float(expanded[np.arange(len(expanded)), reference].sum())
+            for solution in (
+                hungarian(profit, supply, classes),
+                hungarian(profit, supply),
+            ):
+                assert solution.value == pytest.approx(optimum, abs=1e-9)
+                assert solution.value == pytest.approx(
+                    scipy_optimum(expanded), abs=1e-9
+                )
+
+    def test_every_row_gets_supply_distinct_columns(self):
+        rng = np.random.default_rng(24)
+        for _ in range(60):
+            profit, supply, classes = twin_rectangle(rng, integer=True)
+            for solution in (
+                hungarian(profit, supply, classes),
+                greedy_lsap(profit, supply),
+            ):
+                n_rows, n_cols = profit.shape
+                assert solution.row_to_col.shape == (n_rows * supply,)
+                assert solution.is_valid(n_cols)
+                rows = np.repeat(np.arange(n_rows), supply)
+                assert solution.value == pytest.approx(
+                    profit[rows, solution.row_to_col].sum()
+                )
+
+    def test_class_columns_go_out_in_ascending_order(self):
+        profit = np.array([[5.0, 1.0, 5.0, 1.0, 5.0], [5.0, 1.0, 5.0, 1.0, 5.0]])
+        solution = hungarian(profit, supply=2, classes=[0, 1, 0, 1, 0])
+        assert solution.value == 16.0
+        # Class 0 (columns 0, 2, 4) goes to rows in ascending order, and
+        # each row lists its columns ascending.
+        assert solution.row_to_col.tolist() == [0, 2, 1, 4]
+
+    def test_classes_joining_unequal_columns_refused(self):
+        profit = np.array([[1.0, 2.0, 1.0]])
+        for method in lsap_methods():
+            with pytest.raises(InvalidInstanceError, match="not identical"):
+                solve_lsap(profit, method, classes=np.array([0, 0, 1]))
+
+    def test_malformed_classes_refused(self):
+        with pytest.raises(InvalidInstanceError, match="integer labels"):
+            hungarian(np.ones((1, 3)), classes=np.array([0, 1]))
+        with pytest.raises(InvalidInstanceError, match="integer labels"):
+            hungarian(np.ones((1, 3)), classes=np.array([0.0, 1.0, 1.0]))
+
+    def test_supply_needs_enough_columns(self):
+        with pytest.raises(InvalidInstanceError, match="supply"):
+            solve_lsap(np.ones((2, 5)), "greedy", supply=3)
+        with pytest.raises(InvalidInstanceError, match="supply must be"):
+            hungarian(np.ones((2, 5)), supply=0)
+
+    def test_supply_greedy_equals_slot_level(self):
+        rng = np.random.default_rng(25)
+        for trial in range(100):
+            profit, supply, _ = twin_rectangle(rng, integer=trial % 2 == 0)
+            np.testing.assert_array_equal(
+                greedy_lsap(profit, supply).row_to_col,
+                greedy_lsap(np.repeat(profit, supply, axis=0)).row_to_col,
+            )
+
+    @pytest.mark.parametrize("method", ["auction", "brute_force"])
+    def test_other_methods_solve_the_expanded_rows(self, method):
+        rng = np.random.default_rng(26)
+        profit = rng.integers(0, 5, size=(2, 6)).astype(float)
+        got = solve_lsap(profit, method, supply=2)
+        want = solve_lsap(np.repeat(profit, 2, axis=0), method)
+        np.testing.assert_array_equal(got.row_to_col, want.row_to_col)
+        assert got.value == pytest.approx(want.value)
 
 
 class TestAuction:

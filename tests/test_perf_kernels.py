@@ -1,9 +1,9 @@
 """Differential suite for the numeric hot-path kernels.
 
 The BLAS Jaccard kernel must equal the scalar :func:`jaccard_distance`
-bit for bit (``==``, not allclose), and the vectorized Hungarian kernel
-must reproduce the reference assignment entry for entry, on square and
-rectangular inputs alike.
+bit for bit (``==``, not allclose), and the Hungarian kernel at unit
+supply without classes must reproduce the reference assignment entry for
+entry, on square and rectangular inputs alike.
 """
 
 import os
@@ -20,11 +20,11 @@ from repro.core.distance import jaccard_distance, keyword_intersections, pairwis
 from repro.core.qap import build_encoding
 from repro.experiments import build_offline_instance
 from repro.core.solvers import pipeline
+from repro.errors import InvalidInstanceError
 from repro.matching.lsap import (
     _hungarian_min_reference,
     brute_force_lsap,
     hungarian,
-    hungarian_min_rect,
 )
 
 #: Keyword-space widths: empty, and either side of the 64-bit boundaries.
@@ -224,9 +224,10 @@ class TestHungarianDifferential:
     def test_clique_profits_from_amt_pools_identical(
         self, n_groups, per_group, n_workers, x_max, seed
     ):
-        """The HTA pipeline's rectangular input — clique columns as rows,
-        shuffled tasks as columns — is massively tied on AMT pools; both
-        kernels must still pick the same columns."""
+        """The HTA pipeline's clique rectangle — each worker's profit row
+        repeated x_max times, shuffled tasks as columns — is massively tied
+        on AMT pools; the unit-supply kernel must still pick the reference's
+        columns, and the worker x twin-class solve must reach its value."""
         instance = build_offline_instance(
             n_groups * per_group, per_group, n_workers, x_max, rng=seed
         )
@@ -236,15 +237,19 @@ class TestHungarianDifferential:
         matching = pipeline._diversity_matching(encoding, "greedy", rng)
         weights = pipeline._matched_edge_weights(encoding, matching)
         row_order = rng.permutation(n)
-        n_clique = n_workers * x_max
-        profit = encoding.profit_matrix(weights)[row_order, :n_clique].T
+        per_worker = encoding.profit_matrix(weights)[row_order].T
+        profit = np.repeat(per_worker, x_max, axis=0)
         fast = hungarian(profit)
         slow = _hungarian_min_reference(-profit)
         np.testing.assert_array_equal(fast.row_to_col, slow)
+        classes = pipeline.twin_classes(encoding, weights, row_order)
+        quotient = hungarian(per_worker, x_max, classes)
+        assert quotient.value == pytest.approx(fast.value, rel=1e-12, abs=1e-12)
 
-    def test_min_rect_rejects_tall(self):
-        with pytest.raises(ValueError, match="n_rows <= n_cols"):
-            hungarian_min_rect(np.zeros((3, 2)))
+    def test_kernel_rejects_too_few_columns(self):
+        with pytest.raises(InvalidInstanceError, match="n_rows \\* supply <= n_cols"):
+            hungarian(np.zeros((2, 5)), supply=3)
 
-    def test_min_rect_empty(self):
-        assert hungarian_min_rect(np.zeros((0, 4))).shape == (0,)
+    def test_kernel_empty(self):
+        assert hungarian(np.zeros((0, 4))).row_to_col.shape == (0,)
+        assert hungarian(np.zeros((0, 4)), supply=3).row_to_col.shape == (0,)

@@ -158,6 +158,47 @@ class TestLSAPProperties:
         assert greedy.value >= 0.5 * hungarian(profit).value - 1e-9
 
 
+@st.composite
+def twin_profit_matrix(draw):
+    """A profit matrix with identical twin columns, and a row supply."""
+    n_rows = draw(st.integers(1, 3))
+    supply = draw(st.integers(1, 2))
+    n_classes = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(n_rows * supply, n_rows * supply + 2))
+    reps = np.array(
+        draw(
+            st.lists(
+                st.integers(0, 4), min_size=n_rows * n_classes, max_size=n_rows * n_classes
+            )
+        ),
+        dtype=float,
+    ).reshape(n_rows, n_classes)
+    classes = np.array(
+        draw(st.lists(st.integers(0, n_classes - 1), min_size=n_cols, max_size=n_cols))
+    )
+    return reps[:, classes], supply, classes
+
+
+class TestQuotientLSAPProperties:
+    @given(twin_profit_matrix())
+    @settings(max_examples=60, deadline=None)
+    def test_quotient_hungarian_is_optimal(self, case):
+        profit, supply, classes = case
+        expanded = np.repeat(profit, supply, axis=0)
+        solution = hungarian(profit, supply, classes)
+        assert solution.is_valid(profit.shape[1])
+        assert solution.value == pytest.approx(brute_force_lsap(expanded).value)
+
+    @given(twin_profit_matrix())
+    @settings(max_examples=60, deadline=None)
+    def test_supply_greedy_is_the_slot_level_walk(self, case):
+        profit, supply, _ = case
+        np.testing.assert_array_equal(
+            greedy_lsap(profit, supply).row_to_col,
+            greedy_lsap(np.repeat(profit, supply, axis=0)).row_to_col,
+        )
+
+
 class TestSolverProperties:
     @given(
         st.integers(4, 14),  # tasks

@@ -143,7 +143,12 @@ class TestProfitMatrix:
         f = enc.profit_matrix(matched)
         c = enc.dense_c()
         expected = np.outer(matched, enc.deg_a) + c
-        assert np.allclose(f, expected)
+        # One column per worker stands for its x_max identical clique
+        # columns; the isolated columns are zero.
+        assert f.shape == (enc.n_vertices, enc.n_workers)
+        n_clique = enc.n_workers * enc.x_max
+        assert np.allclose(np.repeat(f, enc.x_max, axis=1), expected[:, :n_clique])
+        assert not expected[:, n_clique:].any()
 
     def test_profit_rejects_bad_shape(self, small_instance):
         enc = build_encoding(small_instance)

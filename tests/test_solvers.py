@@ -19,7 +19,8 @@ from repro.core.solvers.base import Solver
 from repro.core.solvers import pipeline
 from repro.core.solvers.pipeline import run_qap_pipeline
 from repro.errors import InvalidInstanceError, UnknownSolverError
-from repro.matching.lsap import solve_lsap
+from repro.experiments import build_offline_instance
+from repro.matching.lsap import _hungarian_min_reference, greedy_lsap, solve_lsap
 
 from conftest import make_random_instance
 
@@ -201,10 +202,11 @@ class TestLsapShape:
         with mock.patch.object(pipeline, "_best_swap", wraps=pipeline._best_swap) as swap:
             run_qap_pipeline(instance, "hungarian", rng=seed)
         permutation, matching = swap.call_args.args[1:3]
-        profits = encoding.profit_matrix(
+        per_worker = encoding.profit_matrix(
             pipeline._matched_edge_weights(encoding, matching)
         )
-        assert not profits[:, n_clique:].any()
+        profits = np.zeros((n, n))
+        profits[:, :n_clique] = np.repeat(per_worker, x_max, axis=1)
 
         square = solve_lsap(profits, "hungarian").value
         assert sorted(permutation.tolist()) == list(range(n))
@@ -238,3 +240,50 @@ class TestLsapShape:
         assert get_solver(name).solve(small_instance, 0).info["lsap_shape"] == "clique"
         square = get_solver(name, lsap_shape="square").solve(small_instance, 0)
         assert square.info["lsap_shape"] == "square"
+
+
+class TestQuotientLsap:
+    """The clique LSAP runs over workers (x_max columns each) and, for
+    HTA-APP, over twin classes of tasks."""
+
+    @staticmethod
+    def _amt_instance(seed):
+        return build_offline_instance(60, 10, 4, 3, rng=seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hta_gre_groups_match_slot_level_walk(self, seed):
+        """The worker-row greedy equals greedy_lsap on the clique rectangle
+        (each worker's row repeated x_max times), so HTA-GRE's groups are
+        those of the slot-level run."""
+
+        def slot_level(profit, method, supply=1, classes=None):
+            return greedy_lsap(np.repeat(profit, supply, axis=0))
+
+        for instance in (self._amt_instance(seed), make_random_instance(14, 3, 3, seed=seed)):
+            output = run_qap_pipeline(instance, "greedy", rng=seed)
+            with mock.patch.object(pipeline, "solve_lsap", slot_level):
+                slot = run_qap_pipeline(instance, "greedy", rng=seed)
+            assert output.groups == slot.groups
+            np.testing.assert_array_equal(output.permutation, slot.permutation)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hta_app_quotient_reaches_the_clique_optimum(self, seed):
+        calls = []
+
+        def record(profit, method, supply=1, classes=None):
+            calls.append((profit, supply, classes))
+            return solve_lsap(profit, method, supply, classes)
+
+        instance = self._amt_instance(seed)
+        with mock.patch.object(pipeline, "solve_lsap", record):
+            run_qap_pipeline(instance, "hungarian", rng=seed)
+        (profit, supply, classes), = calls
+        assert supply == instance.x_max
+        # Twins share a class: far fewer classes than tasks.
+        assert classes.max() + 1 < profit.shape[1]
+        expanded = np.repeat(profit, supply, axis=0)
+        reference = _hungarian_min_reference(-expanded)
+        optimum = expanded[np.arange(len(expanded)), reference].sum()
+        assert solve_lsap(profit, "hungarian", supply, classes).value == pytest.approx(
+            optimum, rel=1e-12, abs=1e-12
+        )
