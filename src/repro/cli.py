@@ -173,30 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--answer-labels", type=int, default=4,
                          help="size of the categorical answer space used for "
                               "gold truth labels (>= 2)")
-    p_serve.add_argument("--shard-index", type=int, default=None,
-                         help="serve shard INDEX of a --shard-count "
-                              "deployment: this daemon owns the corpus "
-                              "positions i with i %% count == index")
-    p_serve.add_argument("--shard-count", type=int, default=None,
-                         help="total shards in the deployment "
-                              "(required with --shard-index)")
-    p_serve.add_argument("--router", action="store_true",
-                         help="run the shard router instead of a daemon: "
-                              "spawns --shards local shard processes (or "
-                              "attaches to --shard-addr ones) and proxies "
-                              "by consistent hash on worker id")
-    p_serve.add_argument("--shards", type=int, default=2,
-                         help="shard processes a --router spawns when no "
-                              "--shard-addr is given")
-    p_serve.add_argument("--shard-addr", action="append", default=None,
-                         metavar="HOST:PORT",
-                         help="attach the --router to an already-running "
-                              "shard (repeat once per shard, in shard-index "
-                              "order) instead of spawning local ones")
-    p_serve.add_argument("--shard-journal-dir", default=None, metavar="DIR",
-                         help="with --router-spawned shards, record each "
-                              "shard's flight journal to DIR/shard-N.jsonl "
-                              "(verify them with `repro replay`)")
     p_serve.add_argument("--estimator", choices=["plain", "bayes"],
                          default="plain",
                          help="motivation estimator: the paper's averaging "
@@ -213,9 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-drive a recorded serve journal and check bit-identity",
     )
     p_replay.add_argument("journal", help="JSONL journal written by "
-                                          "`repro serve --journal` (or a "
-                                          "routing journal from a --router "
-                                          "run, detected automatically)")
+                                          "`repro serve --journal`")
     p_replay.add_argument("--pin-tier", default=None, choices=solver_names(),
                           help="also replay with every solve pinned to this "
                                "degradation-ladder tier (a diagnostic; its "
@@ -356,13 +330,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .data import CrowdFlowerConfig, generate_crowdflower_corpus
     from .serve import FaultPlan, ResilienceConfig, ServeConfig, run_daemon
 
-    if (args.shard_index is None) != (args.shard_count is None):
-        print("--shard-index and --shard-count go together", file=sys.stderr)
-        return 2
-    if args.shard_index is not None and args.router:
-        print("--shard-index is a daemon flag; --router owns no slice",
-              file=sys.stderr)
-        return 2
     corpus = generate_crowdflower_corpus(
         CrowdFlowerConfig(n_tasks=args.tasks), rng=args.seed
     )
@@ -390,17 +357,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "kind": "crowdflower", "n_tasks": args.tasks, "seed": args.seed,
     }
     pool = corpus.pool
-    if args.shard_index is not None:
-        from .serve.shard import ShardError, shard_slice
-
-        try:
-            pool = shard_slice(pool, args.shard_index, args.shard_count)
-        except ShardError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        corpus_spec["shard"] = {
-            "index": args.shard_index, "count": args.shard_count,
-        }
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -427,84 +383,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         restore=args.restore,
         trace_file=args.trace_file,
         trace_sample_rate=args.trace_sample_rate,
-        journal_path=None if args.router else args.journal,
+        journal_path=args.journal,
         corpus_spec=corpus_spec,
-        shard_id=args.shard_index,
         estimator=args.estimator,
         bandit=args.bandit,
     )
-    if args.router:
-        return _serve_router(args, corpus_spec, config)
     if fault_plan is not None:
         print(f"fault injection active: {fault_plan.to_dict()}")
-    label = (
-        f"shard {args.shard_index}/{args.shard_count} of "
-        if args.shard_index is not None
-        else ""
-    )
     print(
-        f"serving {label}{len(pool)} tasks with {args.strategy} "
+        f"serving {len(pool)} tasks with {args.strategy} "
         f"on http://{args.host}:{args.port} (Ctrl-C to stop)"
     )
     try:
         asyncio.run(run_daemon(pool, config))
     except KeyboardInterrupt:
         print("daemon stopped")
-    return 0
-
-
-def _serve_router(args: argparse.Namespace, corpus_spec: dict, config) -> int:
-    """``repro serve --router``: the sharded front door.
-
-    Either spawns ``--shards`` local shard processes over disjoint corpus
-    slices (each on an ephemeral port) or attaches to external shards named
-    by repeated ``--shard-addr``.  ``--journal`` here records the *routing*
-    journal; per-shard flight journals go to ``--shard-journal-dir``.
-    """
-    import asyncio
-
-    from .serve.router import RouterConfig, run_router
-    from .serve.shard import ShardSpec, spawn_shard_fleet
-
-    fleet = []
-    if args.shard_addr:
-        specs = []
-        for index, address in enumerate(args.shard_addr):
-            host, separator, port_text = address.rpartition(":")
-            if not separator or not host:
-                print(f"bad --shard-addr {address!r}: want HOST:PORT",
-                      file=sys.stderr)
-                return 2
-            try:
-                port = int(port_text)
-            except ValueError:
-                print(f"bad --shard-addr port {port_text!r}", file=sys.stderr)
-                return 2
-            specs.append(ShardSpec(index=index, host=host, port=port))
-    else:
-        if args.shards < 1:
-            print("--shards must be >= 1", file=sys.stderr)
-            return 2
-        fleet = spawn_shard_fleet(
-            args.shards, corpus_spec, config,
-            journal_dir=args.shard_journal_dir,
-        )
-        specs = [shard.spec for shard in fleet]
-    router_config = RouterConfig(
-        host=args.host, port=args.port, journal_path=args.journal
-    )
-    shards_text = ", ".join(f"{s.index}@{s.host}:{s.port}" for s in specs)
-    print(
-        f"routing {len(specs)} shard(s) [{shards_text}] "
-        f"on http://{args.host}:{args.port} (Ctrl-C to stop)"
-    )
-    try:
-        asyncio.run(run_router(specs, router_config))
-    except KeyboardInterrupt:
-        print("router stopped")
-    finally:
-        for shard in fleet:
-            shard.stop()
     return 0
 
 
@@ -524,18 +417,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if not path.exists():
         print(f"no such journal: {path}", file=sys.stderr)
         return 2
-    with path.open(encoding="utf-8") as handle:
-        first_line = handle.readline()
-    if '"kind":"routing"' in first_line or '"kind": "routing"' in first_line:
-        # A router's routing journal: verify every recorded decision
-        # against a rebuilt ring instead of re-driving a daemon.
-        from .serve.router import verify_routing_journal
-
-        report = verify_routing_journal(str(path))
-        print(json.dumps(report, indent=2, sort_keys=True))
-        for divergence in report["divergences"]:
-            print(f"routing divergence: {divergence}", file=sys.stderr)
-        return 1 if report["divergences"] else 0
     try:
         journal = load_journal(path)
         pool = pool_from_corpus_spec(journal.corpus_spec)

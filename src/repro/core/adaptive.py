@@ -21,7 +21,6 @@ re-solve — and returns a trace used by the adaptivity ablation bench.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -40,40 +39,6 @@ from .task import TaskPool
 from .worker import MotivationWeights, Worker, WorkerPool
 
 _EPS = 1e-12
-
-
-def _validated_pair(pair: object, worker_id: str, what: str) -> list[float]:
-    """Coerce an imported ``[sum, count]`` pair, rejecting garbage loudly."""
-    try:
-        total, count = float(pair[0]), float(pair[1])  # type: ignore[index]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InvalidInstanceError(
-            f"estimator import for {worker_id!r}: malformed {what} pair {pair!r}"
-        ) from exc
-    if not (math.isfinite(total) and math.isfinite(count)):
-        raise InvalidInstanceError(
-            f"estimator import for {worker_id!r}: non-finite {what} pair {pair!r}"
-        )
-    if total < 0.0 or count < 0.0:
-        raise InvalidInstanceError(
-            f"estimator import for {worker_id!r}: negative {what} pair {pair!r}"
-        )
-    return [total, count]
-
-
-def _validated_raw(raw: object, worker_id: str) -> list[int]:
-    """Coerce an imported ``[div_count, rel_count]`` raw-observation pair."""
-    try:
-        div, rel = int(raw[0]), int(raw[1])  # type: ignore[index]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InvalidInstanceError(
-            f"estimator import for {worker_id!r}: malformed raw counts {raw!r}"
-        ) from exc
-    if div < 0 or rel < 0:
-        raise InvalidInstanceError(
-            f"estimator import for {worker_id!r}: negative raw counts {raw!r}"
-        )
-    return [div, rel]
 
 
 @dataclass(frozen=True)
@@ -224,53 +189,6 @@ class MotivationEstimator:
             self._diversity.pop(worker_id, None)
             self._relevance.pop(worker_id, None)
             self._raw.pop(worker_id, None)
-
-    def export_worker(self, worker_id: str) -> dict:
-        """Portable per-worker slice of :meth:`state_dict` (shard handoff).
-
-        Only the worker's own running averages travel; decay and prior are
-        configuration and must already match on the importing side.
-        """
-        state: dict = {}
-        diversity = self._diversity.get(worker_id)
-        relevance = self._relevance.get(worker_id)
-        raw = self._raw.get(worker_id)
-        if diversity is not None:
-            state["diversity"] = list(diversity)
-        if relevance is not None:
-            state["relevance"] = list(relevance)
-        if raw is not None:
-            state["raw"] = list(raw)
-        return state
-
-    def import_worker(self, worker_id: str, state: dict) -> None:
-        """Adopt one worker's :meth:`export_worker` slice, replacing any
-        stale entries a previous registration epoch may have left behind.
-
-        Raises:
-            InvalidInstanceError: on malformed, negative, or non-finite pairs.
-        """
-        self._diversity.pop(worker_id, None)
-        self._relevance.pop(worker_id, None)
-        self._raw.pop(worker_id, None)
-        diversity = relevance = None
-        if "diversity" in state:
-            diversity = _validated_pair(state["diversity"], worker_id, "diversity")
-        if "relevance" in state:
-            relevance = _validated_pair(state["relevance"], worker_id, "relevance")
-        if diversity is not None:
-            self._diversity[worker_id] = diversity
-        if relevance is not None:
-            self._relevance[worker_id] = relevance
-        if "raw" in state:
-            self._raw[worker_id] = _validated_raw(state["raw"], worker_id)
-        elif diversity is not None or relevance is not None:
-            # Pre-raw-count exporters: fall back to the effective counts
-            # (exact when decay == 1, a floor otherwise).
-            self._raw[worker_id] = [
-                int(round(diversity[1])) if diversity else 0,
-                int(round(relevance[1])) if relevance else 0,
-            ]
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of every worker's running averages."""

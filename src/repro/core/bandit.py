@@ -19,8 +19,8 @@ Weight policies are duck-typed like estimators: anything with
 :class:`~repro.crowd.service.AssignmentService` and
 :func:`~repro.core.adaptive.run_adaptive_loop`.  Policies that hold
 state (RNG, pull counts) expose the same ``state_dict`` /
-``load_state_dict`` / ``export_worker`` / ``import_worker`` contract as
-estimators so snapshots and shard handoff stay bit-identical.
+``load_state_dict`` contract as estimators so snapshots stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -115,12 +115,6 @@ class MeanWeightPolicy:
     def load_state_dict(self, state: dict) -> None:
         pass
 
-    def export_worker(self, worker_id: str) -> dict:
-        return {}
-
-    def import_worker(self, worker_id: str, state: dict) -> None:
-        pass
-
     def describe(self) -> dict:
         return {"policy": self.name, "draws": 0}
 
@@ -156,7 +150,7 @@ class ThompsonWeightPolicy:
         self._pulls[worker_id] = self._pulls.get(worker_id, 0) + 1
         return estimator.sample_weights(worker_id, self._rng)
 
-    # -- snapshot / handoff ---------------------------------------------------
+    # -- snapshot -------------------------------------------------------------
 
     def state_dict(self) -> dict:
         return {
@@ -170,20 +164,6 @@ class ThompsonWeightPolicy:
         self._rng.bit_generator.state = state["rng_state"]
         self._draws = int(state["draws"])
         self._pulls = {w: int(v) for w, v in state["pulls"].items()}
-
-    def export_worker(self, worker_id: str) -> dict:
-        pulls = self._pulls.get(worker_id)
-        return {} if pulls is None else {"pulls": pulls}
-
-    def import_worker(self, worker_id: str, state: dict) -> None:
-        self._pulls.pop(worker_id, None)
-        if "pulls" in state:
-            pulls = int(state["pulls"])
-            if pulls < 0:
-                raise InvalidInstanceError(
-                    f"bandit import for {worker_id!r}: negative pulls {pulls}"
-                )
-            self._pulls[worker_id] = pulls
 
     def describe(self) -> dict:
         return {
@@ -227,7 +207,7 @@ class UCBWeightPolicy:
         alpha = min(1.0, max(0.0, mean + bonus))
         return MotivationWeights(alpha, 1.0 - alpha)
 
-    # -- snapshot / handoff ---------------------------------------------------
+    # -- snapshot -------------------------------------------------------------
 
     def state_dict(self) -> dict:
         return {
@@ -241,20 +221,6 @@ class UCBWeightPolicy:
         self._c = float(state["c"])
         self._draws = int(state["draws"])
         self._pulls = {w: int(v) for w, v in state["pulls"].items()}
-
-    def export_worker(self, worker_id: str) -> dict:
-        pulls = self._pulls.get(worker_id)
-        return {} if pulls is None else {"pulls": pulls}
-
-    def import_worker(self, worker_id: str, state: dict) -> None:
-        self._pulls.pop(worker_id, None)
-        if "pulls" in state:
-            pulls = int(state["pulls"])
-            if pulls < 0:
-                raise InvalidInstanceError(
-                    f"bandit import for {worker_id!r}: negative pulls {pulls}"
-                )
-            self._pulls[worker_id] = pulls
 
     def describe(self) -> dict:
         return {

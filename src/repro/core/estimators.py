@@ -107,56 +107,6 @@ class BayesianMotivationEstimator:
         """Number of raw votes recorded for ``worker_id`` (undecayed)."""
         return self._raw.get(worker_id, 0)
 
-    # -- snapshot / handoff parity with MotivationEstimator --------------------
-
-    def export_worker(self, worker_id: str) -> dict:
-        """Portable per-worker slice of :meth:`state_dict` (shard handoff).
-
-        Only the worker's accumulated vote mass travels; prior and decay are
-        configuration and must already match on the importing side.
-        """
-        state: dict = {}
-        counts = self._counts.get(worker_id)
-        if counts is not None:
-            state["counts"] = list(counts)
-        raw = self._raw.get(worker_id)
-        if raw is not None:
-            state["raw"] = raw
-        return state
-
-    def import_worker(self, worker_id: str, state: dict) -> None:
-        """Adopt one worker's :meth:`export_worker` slice, replacing any
-        stale entries a previous registration epoch may have left behind.
-
-        Raises:
-            InvalidInstanceError: on malformed, negative, or non-finite mass.
-        """
-        self._counts.pop(worker_id, None)
-        self._raw.pop(worker_id, None)
-        if "counts" in state:
-            self._counts[worker_id] = _validated_counts(
-                state["counts"], worker_id
-            )
-        if "raw" in state:
-            raw = state["raw"]
-            try:
-                raw = int(raw)
-            except (TypeError, ValueError) as exc:
-                raise InvalidInstanceError(
-                    f"estimator import for {worker_id!r}: malformed raw "
-                    f"count {state['raw']!r}"
-                ) from exc
-            if raw < 0:
-                raise InvalidInstanceError(
-                    f"estimator import for {worker_id!r}: negative raw "
-                    f"count {raw}"
-                )
-            self._raw[worker_id] = raw
-        elif "counts" in state:
-            # Pre-raw exporters: the undecayed count is at least the mass.
-            counts = self._counts[worker_id]
-            self._raw[worker_id] = int(round(counts[0] + counts[1]))
-
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of every worker's vote mass."""
         return {
@@ -217,25 +167,6 @@ class BayesianMotivationEstimator:
     def _posterior(self, worker_id: str) -> tuple[float, float]:
         counts = self._counts.get(worker_id, [0.0, 0.0])
         return self._prior[0] + counts[0], self._prior[1] + counts[1]
-
-
-def _validated_counts(pair: object, worker_id: str) -> list[float]:
-    """Coerce an imported ``[div_mass, rel_mass]`` pair, rejecting garbage."""
-    try:
-        div, rel = float(pair[0]), float(pair[1])  # type: ignore[index]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InvalidInstanceError(
-            f"estimator import for {worker_id!r}: malformed counts {pair!r}"
-        ) from exc
-    if not (math.isfinite(div) and math.isfinite(rel)):
-        raise InvalidInstanceError(
-            f"estimator import for {worker_id!r}: non-finite counts {pair!r}"
-        )
-    if div < 0.0 or rel < 0.0:
-        raise InvalidInstanceError(
-            f"estimator import for {worker_id!r}: negative counts {pair!r}"
-        )
-    return [div, rel]
 
 
 def _erfinv(x: float) -> float:

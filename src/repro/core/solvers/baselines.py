@@ -54,10 +54,8 @@ class _FixedWeightsSolver(Solver):
 
     weights: MotivationWeights
 
-    def __init__(self, lsap_method: str = "greedy", n_swap_samples: int = 1):
-        self._inner = HTAGreSolver(
-            lsap_method=lsap_method, n_swap_samples=n_swap_samples
-        )
+    def __init__(self, lsap_method: str = "greedy"):
+        self._inner = HTAGreSolver(lsap_method=lsap_method)
 
     def solve(
         self,

@@ -30,7 +30,6 @@ class HTAAppSolver(Solver):
 
     Args:
         matching_method: Matching used on ``B`` (``"greedy"`` default).
-        n_swap_samples: Swap draws to evaluate (1 = paper's algorithm).
         lsap_shape: ``"clique"`` (default) or the paper's ``"square"``
             auxiliary LSAP; see :func:`run_qap_pipeline`.
     """
@@ -40,11 +39,9 @@ class HTAAppSolver(Solver):
     def __init__(
         self,
         matching_method: str = "greedy",
-        n_swap_samples: int = 1,
         lsap_shape: str = "clique",
     ):
         self._matching_method = matching_method
-        self._n_swap_samples = n_swap_samples
         self._lsap_shape = check_lsap_shape(lsap_shape)
 
     def solve(
@@ -57,7 +54,6 @@ class HTAAppSolver(Solver):
             lsap_method="hungarian",
             rng=rng,
             matching_method=self._matching_method,
-            n_swap_samples=self._n_swap_samples,
             lsap_shape=self._lsap_shape,
         )
         assignment = Assignment.from_indices(instance, output.groups)

@@ -27,7 +27,6 @@ class HTAGreSolver(Solver):
         lsap_method: LSAP subroutine (``"greedy"`` default; any method from
             :func:`repro.matching.lsap.lsap_methods` is accepted).
         matching_method: Matching used on ``B``.
-        n_swap_samples: Swap draws to evaluate (1 = paper's algorithm).
         lsap_shape: ``"clique"`` (default; the greedy LSAP sorts
             ``|W| * |T|`` entries, each worker taking up to ``x_max``) or
             the paper's ``"square"`` one (``|T|^2`` entries); see
@@ -40,12 +39,10 @@ class HTAGreSolver(Solver):
         self,
         lsap_method: str = "greedy",
         matching_method: str = "greedy",
-        n_swap_samples: int = 1,
         lsap_shape: str = "clique",
     ):
         self._lsap_method = lsap_method
         self._matching_method = matching_method
-        self._n_swap_samples = n_swap_samples
         self._lsap_shape = check_lsap_shape(lsap_shape)
 
     def solve(
@@ -58,7 +55,6 @@ class HTAGreSolver(Solver):
             lsap_method=self._lsap_method,
             rng=rng,
             matching_method=self._matching_method,
-            n_swap_samples=self._n_swap_samples,
             lsap_shape=self._lsap_shape,
         )
         assignment = Assignment.from_indices(instance, output.groups)

@@ -70,7 +70,6 @@ def run_qap_pipeline(
     lsap_method: str,
     rng: "int | np.random.Generator | None" = None,
     matching_method: str = "greedy",
-    n_swap_samples: int = 1,
     lsap_shape: str = "clique",
 ) -> PipelineOutput:
     """Run Algorithm 1/2 and return per-worker task indices.
@@ -82,17 +81,11 @@ def run_qap_pipeline(
         rng: Randomness source for the swap step.
         matching_method: ``"greedy"`` (default; preserves the bounds per
             Arkin et al.) or ``"exact"`` (bitmask DP; tiny instances only).
-        n_swap_samples: Number of independent swap draws to evaluate; the
-            best by QAP objective is kept.  ``1`` reproduces the paper's
-            algorithm exactly; larger values are a practical derandomization
-            knob (the 1/4 and 1/8 factors hold *in expectation* over swaps).
         lsap_shape: ``"clique"`` (default) solves the LSAP over the
             clique columns, as workers taking ``x_max`` tasks each;
             ``"square"`` solves the paper's ``n x n`` one.  Both reach the
             same optimum; tie-broken choices may differ.
     """
-    if n_swap_samples < 1:
-        raise ValueError(f"n_swap_samples must be >= 1, got {n_swap_samples}")
     check_lsap_shape(lsap_shape)
     generator = ensure_rng(rng)
     timings: dict[str, float] = {}
@@ -148,7 +141,7 @@ def run_qap_pipeline(
             n_clique, encoding.n_vertices
         )
     permutation, qap_value = _best_swap(
-        encoding, base_permutation, matching, generator, n_swap_samples
+        encoding, base_permutation, matching, generator
     )
     groups = encoding.tasks_by_worker(permutation)
     timings["decode"] = time.perf_counter() - start
@@ -158,7 +151,6 @@ def run_qap_pipeline(
         "lsap_method": lsap_method,
         "matching_method": matching_method,
         "matching_size": len(matching),
-        "n_swap_samples": n_swap_samples,
         "lsap_shape": lsap_shape,
     }
     return PipelineOutput(
@@ -230,29 +222,24 @@ def _best_swap(
     base_permutation: np.ndarray,
     matching: list[tuple[int, int]],
     rng: np.random.Generator,
-    n_samples: int,
 ) -> tuple[np.ndarray, float]:
-    """Randomized per-edge swap (lines 12-16), best of ``n_samples`` draws.
+    """Randomized per-edge swap (lines 12-16), kept only if it scores higher.
 
-    The unswapped LSAP permutation is always evaluated as a candidate too:
-    the approximation analysis credits the swap with only half of the
-    relevance term in expectation (Eq. 21), so for relevance-heavy instances
-    the raw LSAP solution is often strictly better.  Taking the max over
-    candidates can only raise the expected objective, so Theorem 3/4's
-    bounds are preserved.
+    The unswapped LSAP permutation is evaluated as a candidate too: the
+    approximation analysis credits the swap with only half of the relevance
+    term in expectation (Eq. 21), so for relevance-heavy instances the raw
+    LSAP solution is often strictly better.  Taking the max of the two can
+    only raise the expected objective, so Theorem 3/4's bounds are
+    preserved.
     """
-    best_perm = base_permutation.copy()
-    best_value = encoding.objective(best_perm)
-    edges = np.array(matching, dtype=np.intp).reshape(-1, 2)
-    for _ in range(n_samples):
-        permutation = base_permutation.copy()
-        if matching:
-            # Matched edges are vertex-disjoint, so the swaps commute.
-            k, l = edges[rng.random(len(matching)) < 0.5].T
-            permutation[k], permutation[l] = permutation[l], permutation[k]
-        value = encoding.objective(permutation)
-        if value > best_value:
-            best_value = value
-            best_perm = permutation
-    assert best_perm is not None
-    return best_perm, float(best_value)
+    base_value = encoding.objective(base_permutation)
+    permutation = base_permutation.copy()
+    if matching:
+        # Matched edges are vertex-disjoint, so the swaps commute.
+        edges = np.array(matching, dtype=np.intp).reshape(-1, 2)
+        k, l = edges[rng.random(len(matching)) < 0.5].T
+        permutation[k], permutation[l] = permutation[l], permutation[k]
+    value = encoding.objective(permutation)
+    if value > base_value:
+        return permutation, float(value)
+    return base_permutation, float(base_value)

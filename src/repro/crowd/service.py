@@ -776,96 +776,6 @@ class AssignmentService:
             self._weight_policy.load_state_dict(state["weight_policy"])
         self._rng.bit_generator.state = state["rng_state"]
 
-    # -- shard handoff ---------------------------------------------------------
-
-    def export_worker(self, worker_id: str) -> dict:
-        """Portable snapshot of one registered worker (drain/handoff).
-
-        Everything another :class:`AssignmentService` needs to continue this
-        worker's session bit-identically: interest vector, motivation
-        weights, iteration counter, display bookkeeping (ids + completion
-        order; matrices are recomputed from keyword vectors on import, the
-        same discipline as :meth:`restore_state`), and the worker's slice
-        of the motivation estimator.  The export is read-only — pair it
-        with :meth:`unregister_worker` to complete the handoff.
-        """
-        worker = self._workers.get(worker_id)
-        if worker is None:
-            raise SimulationError(f"worker {worker_id!r} is not registered")
-        state: dict = {
-            "interest": np.flatnonzero(worker.vector).tolist(),
-            "alpha": worker.weights.alpha,
-            "beta": worker.weights.beta,
-            "iteration": int(self._iterations.get(worker_id, 0)),
-            "estimator": self._estimator.export_worker(worker_id),
-            "display": None,
-        }
-        if self._weight_policy is not None:
-            state["bandit"] = self._weight_policy.export_worker(worker_id)
-        display = self._displays.get(worker_id)
-        if display is not None:
-            state["display"] = {
-                "task_ids": list(display.task_ids),
-                "completed": [int(i) for i in display.completed],
-                "iteration": display.iteration,
-                "completed_since_assignment": (
-                    display.completed_since_assignment
-                ),
-            }
-        return state
-
-    def import_worker(
-        self, worker_id: str, state: dict, tasks: Mapping[str, Task]
-    ) -> None:
-        """Adopt a worker exported by another service (shard handoff).
-
-        Installs registration, display, and estimator state exactly as
-        exported *without consuming this service's RNG* — adoption must not
-        shift the seeds of subsequent local solves, or the shard's replay
-        journal would diverge from an adoption-free run of the same local
-        traffic.
-
-        Args:
-            state: An :meth:`export_worker` blob.
-            tasks: Lookup covering every task id in the exported display.
-                Displayed tasks left the *source* shard's pool and usually
-                never existed in this shard's corpus, so the caller (the
-                daemon's adopt endpoint) carries their full specs across.
-        """
-        if worker_id in self._workers:
-            raise SimulationError(
-                f"cannot adopt worker {worker_id!r}: already registered"
-            )
-        n_keywords = len(self._vocabulary)
-        vector = np.zeros(n_keywords, dtype=bool)
-        if state["interest"]:
-            vector[np.asarray(state["interest"], dtype=int)] = True
-        self._workers[worker_id] = Worker(
-            worker_id,
-            vector,
-            MotivationWeights(float(state["alpha"]), float(state["beta"])),
-        )
-        self._iterations[worker_id] = int(state["iteration"])
-        self._estimator.import_worker(worker_id, state.get("estimator", {}))
-        if self._weight_policy is not None:
-            self._weight_policy.import_worker(worker_id, state.get("bandit", {}))
-        spec = state.get("display")
-        if spec is not None:
-            shown = [tasks[tid] for tid in spec["task_ids"]]
-            vectors = np.vstack([t.vector for t in shown])
-            diversity, relevance = self._display_matrices(vectors, vector)
-            self._displays[worker_id] = _Display(
-                task_ids=list(spec["task_ids"]),
-                vectors=vectors,
-                diversity=diversity,
-                relevance=relevance,
-                completed=[int(i) for i in spec["completed"]],
-                iteration=int(spec["iteration"]),
-                completed_since_assignment=int(
-                    spec["completed_since_assignment"]
-                ),
-            )
-
     # -- internals -------------------------------------------------------------
 
     def _draw_random(self, count: int) -> list[Task]:

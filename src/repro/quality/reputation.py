@@ -208,35 +208,6 @@ class ReputationTracker:
             "gold_correct": 0 if entry is None else entry.gold_correct,
         }
 
-    def export_worker(self, worker_id: str) -> "dict | None":
-        """One worker's posterior row (shard handoff); ``None`` when the
-        worker was never observed (the prior needs no transport)."""
-        entry = self._posteriors.get(worker_id)
-        if entry is None:
-            return None
-        return {
-            "a": entry.a,
-            "b": entry.b,
-            "pending_a": entry.pending_a,
-            "pending_b": entry.pending_b,
-            "golds": entry.golds,
-            "gold_correct": entry.gold_correct,
-        }
-
-    def import_worker(self, worker_id: str, state: "dict | None") -> None:
-        """Adopt an :meth:`export_worker` row, replacing any local record."""
-        if state is None:
-            self._posteriors.pop(worker_id, None)
-            return
-        self._posteriors[worker_id] = _Posterior(
-            a=float(state["a"]),
-            b=float(state["b"]),
-            pending_a=float(state["pending_a"]),
-            pending_b=float(state["pending_b"]),
-            golds=int(state["golds"]),
-            gold_correct=int(state["gold_correct"]),
-        )
-
     # -- snapshot / restore ----------------------------------------------------
 
     def state_dict(self) -> dict:

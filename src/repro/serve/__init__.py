@@ -13,11 +13,8 @@ ladder, deterministic fault injection, crash-safe snapshots — lives in
 :mod:`repro.serve.resilience`.  A closed-loop load generator
 (:mod:`repro.serve.loadgen`) drives and verifies a running daemon, and a
 deterministic flight recorder (:mod:`repro.serve.replay`) journals every
-request and solve so a run can be replayed bit-for-bit offline.  Horizontal
-scale-out lives in :mod:`repro.serve.shard` (consistent-hash worker
-partitioning, disjoint corpus slices, the drain/handoff protocol) and
-:mod:`repro.serve.router` (the thin routing front door with its own
-verifiable routing journal).  See docs/SERVING.md.
+request and solve so a run can be replayed bit-for-bit offline.  See
+docs/SERVING.md.
 """
 
 from .app import AssignmentDaemon, ServeConfig, run_daemon
@@ -27,17 +24,9 @@ from .loadgen import (
     LoadgenResult,
     run_loadgen,
     run_self_contained,
-    run_sharded,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .protocol import HttpClient, HttpError
-from .router import (
-    RouterConfig,
-    RouterDaemon,
-    RoutingJournal,
-    run_router,
-    verify_routing_journal,
-)
 from .replay import (
     Divergence,
     FlightRecorder,
@@ -58,16 +47,6 @@ from .resilience import (
     degradation_ladder,
 )
 from .scheduler import SolveScheduler
-from .shard import (
-    HashRing,
-    ShardCluster,
-    ShardCoordinator,
-    ShardError,
-    ShardProcess,
-    ShardSpec,
-    shard_slice,
-    spawn_shard_fleet,
-)
 from .tracing import (
     NULL_TRACE,
     SolveContext,
@@ -87,7 +66,6 @@ __all__ = [
     "FaultPlan",
     "FlightRecorder",
     "Gauge",
-    "HashRing",
     "Histogram",
     "HttpClient",
     "HttpError",
@@ -102,15 +80,7 @@ __all__ = [
     "ReplayReport",
     "ReplayVariant",
     "ResilienceConfig",
-    "RouterConfig",
-    "RouterDaemon",
-    "RoutingJournal",
     "ServeConfig",
-    "ShardCluster",
-    "ShardCoordinator",
-    "ShardError",
-    "ShardProcess",
-    "ShardSpec",
     "SolveContext",
     "SolveScheduler",
     "Span",
@@ -123,10 +93,5 @@ __all__ = [
     "replay_journal",
     "run_daemon",
     "run_loadgen",
-    "run_router",
     "run_self_contained",
-    "run_sharded",
-    "shard_slice",
-    "spawn_shard_fleet",
-    "verify_routing_journal",
 ]

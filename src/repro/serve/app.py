@@ -63,27 +63,17 @@ from .resilience import (
 )
 from .tracing import SolveContext, SpanMetrics, TraceRecorder
 
-#: Snapshot kind under which an unsharded daemon persists its state.
-#: Sharded daemons namespace the kind with their shard id (see
-#: :func:`snapshot_kind_for`) so N shards sharing one store path can never
-#: silently overwrite each other's snapshots.
+#: Snapshot kind under which the daemon persists its state.
 SNAPSHOT_KIND = "serve"
 
 #: Layout version of the daemon's snapshot payload.  Bumped to 2 when the
 #: quality layer's state (reputation posteriors, gold aliases, ballots)
 #: joined the payload; bumped to 3 when open-world ingestion added the
-#: service's admitted-task arrival log; bumped to 4 when sharded serving
-#: stamped the writing shard's id into the payload (restore refuses a
-#: snapshot written by a different shard).  The store refuses every other
+#: service's admitted-task arrival log; bumped to 4 when the payload
+#: gained a writer-id stamp (no longer written; restore ignores it in
+#: version-4 snapshots that carry it).  The store refuses every other
 #: version.
 SNAPSHOT_SCHEMA_VERSION = 4
-
-
-def snapshot_kind_for(shard_id: "int | None") -> str:
-    """The snapshot kind one daemon writes under: shard-namespaced."""
-    if shard_id is None:
-        return SNAPSHOT_KIND
-    return f"{SNAPSHOT_KIND}:shard-{shard_id}"
 
 #: Completion responses remembered for duplicate delivery (per daemon).
 COMPLETION_CACHE_CAP = 4096
@@ -119,11 +109,6 @@ class ServeConfig:
     #: Quality-control subsystem (gold injection, redundancy, reputation);
     #: ``None`` leaves the daemon byte-identical to a quality-free build.
     quality: QualityConfig | None = None
-    #: This daemon's shard index when it serves one slice of a sharded
-    #: deployment (see :mod:`repro.serve.shard`); ``None`` for the classic
-    #: single-daemon topology.  Namespaces snapshots, stamps the journal
-    #: header, and unlocks the ``/admin`` drain/handoff endpoints' guards.
-    shard_id: int | None = None
     #: Motivation estimator: ``plain`` (the paper's averaging) or ``bayes``
     #: (Beta posterior; enables Thompson sampling).
     estimator: str = "plain"
@@ -181,8 +166,6 @@ class AssignmentDaemon:
             if self.config.fault_plan is not None
             else None
         )
-        self._snapshot_kind = snapshot_kind_for(self.config.shard_id)
-        self._draining = False
         self._snapshots: SnapshotStore | None = (
             SnapshotStore(
                 self.config.snapshot_path,
@@ -280,7 +263,6 @@ class AssignmentDaemon:
                     "service": asdict(self.config.service),
                     "pool_sha": pool_fingerprint(pool),
                     "corpus": self.config.corpus_spec,
-                    "shard_id": self.config.shard_id,
                     "quality": (
                         None
                         if self.config.quality is None
@@ -456,12 +438,11 @@ class AssignmentDaemon:
         if self._snapshots is None:
             return False
         payload = self._state_payload()
-        payload["shard_id"] = self.config.shard_id
         if self._recorder is not None:
             # Journal/snapshot rendezvous: a restored daemon's journal can be
             # stitched to its predecessor's at this seq.
             payload["journal_seq"] = self._recorder.seq
-        snapshot_id = self._snapshots.save(self._snapshot_kind, payload)
+        snapshot_id = self._snapshots.save(SNAPSHOT_KIND, payload)
         self._snapshots_taken.inc()
         if self._recorder is not None:
             self._recorder.record_snapshot(snapshot_id)
@@ -477,15 +458,10 @@ class AssignmentDaemon:
         """
         if self._snapshots is None:
             return False
-        record = self._snapshots.latest_record(self._snapshot_kind)
+        record = self._snapshots.latest_record(SNAPSHOT_KIND)
         if record is None:
             return False
         state = record.state
-        if state.get("shard_id") != self.config.shard_id:
-            raise SimulationError(
-                f"snapshot was written by shard {state.get('shard_id')!r}, "
-                f"this daemon is shard {self.config.shard_id!r}"
-            )
         self.service.restore_state(state["service"], self._task_index)
         # Tasks admitted by the previous process never existed in the
         # startup corpus; the snapshot's arrival log rebuilt them — index
@@ -626,12 +602,6 @@ class AssignmentDaemon:
             return await self._post_tasks(request, trace)
         if path == "/complete" and method == "POST":
             return await self._post_complete(request, trace)
-        if path == "/admin/drain" and method == "POST":
-            return await self._admin_drain()
-        if path == "/admin/handoff" and method == "POST":
-            return self._admin_handoff(request)
-        if path == "/admin/adopt" and method == "POST":
-            return self._admin_adopt(request)
         if path.startswith("/display/") and method == "GET":
             return self._get_display(path.removeprefix("/display/"))
         if path.startswith("/trace/") and method == "GET":
@@ -675,11 +645,8 @@ class AssignmentDaemon:
         if self._snapshots is not None:
             payload["snapshots"] = {
                 "path": self.config.snapshot_path,
-                "retained": self._snapshots.count(self._snapshot_kind),
+                "retained": self._snapshots.count(SNAPSHOT_KIND),
             }
-        if self.config.shard_id is not None:
-            payload["shard_id"] = self.config.shard_id
-        payload["draining"] = self._draining
         return payload
 
     def _get_trace(self, trace_id: str) -> dict:
@@ -697,8 +664,6 @@ class AssignmentDaemon:
         worker_id = body.get("worker_id")
         if not isinstance(worker_id, str) or not worker_id:
             raise HttpError(400, "worker_id must be a non-empty string")
-        if self._draining:
-            raise HttpError(503, "shard is draining; register elsewhere")
         vector = self._decode_interest(body)
         if self.service.remaining_tasks() == 0:
             raise HttpError(503, "task pool exhausted")
@@ -777,9 +742,6 @@ class AssignmentDaemon:
         them for future ballots, and the arrival is journaled so replay
         can rebuild tasks the startup corpus never contained.
         """
-        if self._draining:
-            self._admissions_rejected.inc()
-            raise HttpError(503, "shard is draining; post tasks elsewhere")
         try:
             tasks = self._decode_task_batch(request.json())
         except HttpError:
@@ -900,8 +862,7 @@ class AssignmentDaemon:
         reassigned = False
         deadline_exceeded = False
         if (
-            not self._draining
-            and self.service.needs_reassignment(worker_id)
+            self.service.needs_reassignment(worker_id)
             and self.scheduler is not None
         ):
             try:
@@ -1055,156 +1016,6 @@ class AssignmentDaemon:
         # Idempotent by construction: a retried DELETE finds the worker
         # already gone and still reports success.
         return {"worker_id": worker_id, "status": "unregistered"}
-
-    # -- shard drain / handoff -------------------------------------------------
-
-    async def _admin_drain(self) -> dict:
-        """Stop solving and wait out queued batches (``POST /admin/drain``).
-
-        After this returns the shard accepts no new registrations or task
-        batches, completions no longer trigger solves, and every queued
-        batch has landed — the preconditions :meth:`_admin_handoff`
-        requires.  Idempotent: a retried drain re-verifies the quiesced
-        state and succeeds.
-        """
-        self._draining = True
-        if self.scheduler is not None:
-            await self.scheduler.quiesce()
-        return {
-            "status": "draining",
-            "workers": len(self.service.active_workers()),
-        }
-
-    def _admin_handoff(self, request: Request) -> dict:
-        """Export (and unregister) workers for adoption elsewhere.
-
-        Requires a completed drain, so no queued solve can still change a
-        departing worker's display after its export is taken.
-        Each blob carries the service-level session export, the full specs
-        of every task on the worker's display (those tasks belong to *this*
-        shard's corpus; the adopting shard has never seen them), and the
-        worker's reputation posterior when the quality layer is active.
-        Journaled per worker as ``handoff_out``, after which replay demands
-        a bit-identical re-export at the same seq.
-        """
-        if not self._draining:
-            raise HttpError(409, "drain the shard before handing off workers")
-        worker_ids = self.service.active_workers()
-        if request.body:
-            body = request.json()
-            if not isinstance(body, dict):
-                raise HttpError(400, "expected a JSON object")
-            requested = body.get("worker_ids")
-            if requested is not None:
-                if not isinstance(requested, list) or not all(
-                    isinstance(w, str) for w in requested
-                ):
-                    raise HttpError(400, "worker_ids must be a list of strings")
-                unknown = [
-                    w for w in requested if self.service.worker_of(w) is None
-                ]
-                if unknown:
-                    raise HttpError(
-                        404, f"workers not registered here: {unknown[:5]}"
-                    )
-                worker_ids = requested
-        workers: dict[str, dict] = {}
-        for worker_id in worker_ids:
-            exported = self.service.export_worker(worker_id)
-            display = exported["display"]
-            blob: dict = {
-                "service": exported,
-                "tasks": [
-                    self._task_spec(tid)
-                    for tid in (display["task_ids"] if display else [])
-                ],
-            }
-            if self.quality is not None and self.quality.active:
-                blob["reputation"] = self.quality.reputation.export_worker(
-                    worker_id
-                )
-            if self._recorder is not None:
-                self._recorder.record_handoff_out(worker_id, blob)
-            self.service.unregister_worker(worker_id)
-            self._forget_completions(worker_id)
-            if self.quality is not None:
-                self.quality.on_unregister(worker_id)
-            workers[worker_id] = blob
-        return {
-            "workers": workers,
-            "remaining_workers": len(self.service.active_workers()),
-        }
-
-    def _admin_adopt(self, request: Request) -> dict:
-        """Adopt handoff blobs exported by another shard.
-
-        Carried task specs join the local task index (for display
-        rendering) and the display's ids join the C2 ledger; the service
-        import consumes no local RNG, so the shard's own solve stream —
-        and therefore its replay journal — is unaffected by who it hosts.
-        """
-        if self._draining:
-            raise HttpError(503, "shard is draining")
-        body = request.json()
-        if not isinstance(body, dict) or not isinstance(
-            body.get("workers"), dict
-        ):
-            raise HttpError(400, "expected {'workers': {worker_id: blob}}")
-        for worker_id, blob in body["workers"].items():
-            if not isinstance(blob, dict) or "service" not in blob:
-                raise HttpError(400, f"bad handoff blob for {worker_id!r}")
-        adopted: list[str] = []
-        n_keywords = len(self._vocabulary)
-        for worker_id, blob in body["workers"].items():
-            for spec in blob.get("tasks", ()):
-                if spec["task_id"] in self._task_index:
-                    continue
-                vector = np.zeros(n_keywords, dtype=bool)
-                if spec["interest"]:
-                    vector[np.asarray(spec["interest"], dtype=int)] = True
-                self._task_index[spec["task_id"]] = Task(
-                    task_id=spec["task_id"],
-                    vector=vector,
-                    group=spec.get("group", ""),
-                    title=spec.get("title", ""),
-                    reward=float(spec.get("reward", 0.05)),
-                    n_questions=int(spec.get("n_questions", 1)),
-                )
-            try:
-                self.service.import_worker(
-                    worker_id, blob["service"], self._task_index
-                )
-            except SimulationError as exc:
-                raise HttpError(409, str(exc)) from None
-            display = blob["service"].get("display")
-            if display is not None:
-                self._displayed_ever.update(display["task_ids"])
-            if self.quality is not None and "reputation" in blob:
-                self.quality.reputation.import_worker(
-                    worker_id, blob["reputation"]
-                )
-            self._forget_completions(worker_id)
-            if self._recorder is not None:
-                self._recorder.record_handoff_in(worker_id, blob)
-            adopted.append(worker_id)
-        return {
-            "adopted": adopted,
-            "workers": len(self.service.active_workers()),
-        }
-
-    def _task_spec(self, task_id: str) -> dict:
-        """Full portable spec of one known task (handoff transport)."""
-        task = self._task_index.get(task_id)
-        if task is None:
-            raise HttpError(500, f"no task {task_id!r} to hand off")
-        return {
-            "task_id": task.task_id,
-            "interest": np.flatnonzero(task.vector).tolist(),
-            "group": task.group,
-            "title": task.title,
-            "reward": task.reward,
-            "n_questions": task.n_questions,
-        }
 
     # -- payload shaping ------------------------------------------------------
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -754,74 +753,6 @@ async def run_self_contained(
     return result, snapshot
 
 
-async def run_sharded(
-    config: LoadgenConfig,
-    n_shards: int,
-    n_tasks: int = 2000,
-    strategy: str = "hta-gre",
-    serve_config: "ServeConfig | None" = None,
-    journal_dir: "str | None" = None,
-    routing_journal: "str | None" = None,
-) -> tuple[LoadgenResult, dict]:
-    """Self-contained sharded run: N shards behind a router, all driven.
-
-    Spawns an in-process :class:`~repro.serve.shard.ShardCluster` over
-    disjoint corpus slices plus a :class:`~repro.serve.router.RouterDaemon`
-    on ephemeral ports, then points the closed-loop crowd at the *router* —
-    so the loadgen's global duplicate-display oracle is checking C1/C2
-    across shard boundaries, not just within one daemon.  With
-    ``journal_dir`` each shard records a flight journal
-    (``journal-shardN.jsonl``, each verifiable with ``repro replay``);
-    ``routing_journal`` records the router's decisions for
-    :func:`~repro.serve.router.verify_routing_journal`.
-
-    Returns the loadgen result plus
-    ``{"router": ..., "shards": [...]}`` metrics snapshots.
-    """
-    from dataclasses import replace
-
-    from ..data import CrowdFlowerConfig, generate_crowdflower_corpus
-    from .app import ServeConfig
-    from .router import RouterConfig, RouterDaemon
-    from .shard import ShardCluster
-
-    corpus = generate_crowdflower_corpus(
-        CrowdFlowerConfig(n_tasks=n_tasks), rng=config.seed
-    )
-    corpus_spec = {"kind": "crowdflower", "n_tasks": n_tasks, "seed": config.seed}
-    if serve_config is None:
-        serve_config = ServeConfig(
-            host=config.host, port=0, strategy=strategy, seed=config.seed,
-            corpus_spec=corpus_spec,
-        )
-    else:
-        serve_config = replace(serve_config, host=config.host, port=0)
-        if serve_config.corpus_spec is None:
-            serve_config = replace(serve_config, corpus_spec=corpus_spec)
-    journal_base = None
-    if journal_dir is not None:
-        os.makedirs(journal_dir, exist_ok=True)
-        journal_base = os.path.join(journal_dir, "journal.jsonl")
-    serve_config = replace(serve_config, journal_path=journal_base)
-    cluster = ShardCluster(corpus.pool, serve_config, n_shards)
-    await cluster.start()
-    router = RouterDaemon(
-        cluster.specs,
-        RouterConfig(host=config.host, port=0, journal_path=routing_journal),
-    )
-    await router.start()
-    try:
-        result = await run_loadgen(replace(config, port=router.port))
-        snapshot = {
-            "router": router.registry.snapshot(),
-            "shards": [d.registry.snapshot() for d in cluster.daemons],
-        }
-    finally:
-        await router.stop()
-        await cluster.stop()
-    return result, snapshot
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.loadgen",
@@ -935,22 +866,6 @@ def main(argv: list[str] | None = None) -> int:
         help="spawned daemon's weight-policy bandit (--spawn-server only; "
              "thompson requires --estimator bayes)",
     )
-    parser.add_argument(
-        "--shards", type=int, default=0,
-        help="with --spawn-server: spawn an N-shard cluster behind a "
-             "router on ephemeral ports and drive the router "
-             "(0 keeps the classic single daemon)",
-    )
-    parser.add_argument(
-        "--shard-journal-dir", default=None,
-        help="with --shards: record each shard's flight journal to "
-             "DIR/journal-shardN.jsonl (verify with `repro replay`)",
-    )
-    parser.add_argument(
-        "--routing-journal", default=None,
-        help="with --shards: record the router's routing journal to this "
-             "JSONL file (verify with `repro replay`)",
-    )
     args = parser.parse_args(argv)
     config = LoadgenConfig(
         host=args.host,
@@ -973,16 +888,6 @@ def main(argv: list[str] | None = None) -> int:
         arrival_batch=args.arrival_batch,
         arrival_interval=args.arrival_interval,
     )
-    if args.shards > 0 and not args.spawn_server:
-        print("--shards requires --spawn-server", file=sys.stderr)
-        return 2
-    if args.shards > 0 and args.journal:
-        print(
-            "--journal is single-daemon only; use --shard-journal-dir and "
-            "--routing-journal with --shards",
-            file=sys.stderr,
-        )
-        return 2
     if args.bandit == "thompson" and args.estimator != "bayes":
         print("--bandit thompson requires --estimator bayes", file=sys.stderr)
         return 2
@@ -1035,27 +940,14 @@ def main(argv: list[str] | None = None) -> int:
                 estimator=args.estimator,
                 bandit=args.bandit,
             )
-        if args.shards > 0:
-            result, snapshot = asyncio.run(
-                run_sharded(
-                    config,
-                    args.shards,
-                    n_tasks=args.tasks,
-                    strategy=args.strategy,
-                    serve_config=serve_config,
-                    journal_dir=args.shard_journal_dir,
-                    routing_journal=args.routing_journal,
-                )
+        result, snapshot = asyncio.run(
+            run_self_contained(
+                config,
+                n_tasks=args.tasks,
+                strategy=args.strategy,
+                serve_config=serve_config,
             )
-        else:
-            result, snapshot = asyncio.run(
-                run_self_contained(
-                    config,
-                    n_tasks=args.tasks,
-                    strategy=args.strategy,
-                    serve_config=serve_config,
-                )
-            )
+        )
         payload = {"loadgen": result.to_dict(), "daemon_metrics": snapshot}
     else:
         result = asyncio.run(run_loadgen(config))

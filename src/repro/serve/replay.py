@@ -100,13 +100,6 @@ _EVENT_FIELDS: dict[str, frozenset[str]] = {
     # order IS the call order.
     "probe": frozenset({"worker_id", "iteration", "aliases"}),
     "tick": frozenset(),
-    # Shard drain/rebalance: ``handoff_out`` records a worker leaving this
-    # shard (the state blob is the exported session — replay re-derives the
-    # export and demands bit-equality before unregistering); ``handoff_in``
-    # records an adoption, carrying the full task specs of the worker's
-    # display because those tasks belong to the *source* shard's corpus.
-    "handoff_out": frozenset({"worker_id", "state"}),
-    "handoff_in": frozenset({"worker_id", "state"}),
     "lease": frozenset(
         {"worker_ids", "solver", "seed", "n_candidates", "candidates_sha"}
     ),
@@ -284,14 +277,6 @@ class FlightRecorder:
             trace_id=trace_id,
         )
 
-    def record_handoff_out(self, worker_id: str, state: dict) -> None:
-        """A worker drained off this shard (state = the handoff blob)."""
-        self._record("handoff_out", worker_id=worker_id, state=state)
-
-    def record_handoff_in(self, worker_id: str, state: dict) -> None:
-        """A worker adopted onto this shard (state = the handoff blob)."""
-        self._record("handoff_in", worker_id=worker_id, state=state)
-
     def record_lease(
         self, prepared: PreparedSolve, trace_ids: "Sequence[str] | None"
     ) -> None:
@@ -397,7 +382,9 @@ def load_journal(path: "str | Path") -> Journal:
         except json.JSONDecodeError as exc:
             raise ReplayError(f"{path}:{lineno}: not JSON: {exc}") from None
         if not isinstance(record, dict) or "type" not in record:
-            raise ReplayError(f"{path}:{lineno}: not a journal record")
+            raise ReplayError(
+                f"{path}:{lineno}: not a journal record (no 'type' key)"
+            )
         records.append((lineno, record))
     lineno, header = records[0]
     if header["type"] != "header":
@@ -433,30 +420,30 @@ def load_journal(path: "str | Path") -> Journal:
     return Journal(header=header, events=events)
 
 
-def pool_from_corpus_spec(spec: dict) -> TaskPool:
-    """Rebuild the recorded corpus from the header's ``corpus`` spec.
+#: The keys a corpus spec may carry; any other key describes a corpus this
+#: build cannot rebuild, and rebuilding without it would diverge on
+#: ``pool_sha`` far from the cause.
+_CORPUS_SPEC_KEYS = frozenset({"kind", "n_tasks", "seed"})
 
-    A sharded daemon serves a disjoint slice of the full corpus; its spec
-    carries ``{"shard": {"index": k, "count": n}}`` and the rebuilt pool is
-    re-sliced the same way, so the journal's ``pool_sha`` matches the
-    shard's actual startup pool.
-    """
+
+def pool_from_corpus_spec(spec: dict) -> TaskPool:
+    """Rebuild the recorded corpus from the header's ``corpus`` spec."""
     if not isinstance(spec, dict) or spec.get("kind") != "crowdflower":
         raise ReplayError(
             f"cannot rebuild corpus from spec {spec!r}; pass the pool explicitly"
+        )
+    unknown = sorted(set(spec) - _CORPUS_SPEC_KEYS)
+    if unknown:
+        raise ReplayError(
+            f"corpus spec carries unsupported key(s) {unknown}; "
+            f"this build rebuilds only {sorted(_CORPUS_SPEC_KEYS)}"
         )
     from ..data import CrowdFlowerConfig, generate_crowdflower_corpus
 
     corpus = generate_crowdflower_corpus(
         CrowdFlowerConfig(n_tasks=int(spec["n_tasks"])), rng=int(spec["seed"])
     )
-    pool = corpus.pool
-    shard = spec.get("shard")
-    if shard is not None:
-        from .shard import shard_slice
-
-        pool = shard_slice(pool, int(shard["index"]), int(shard["count"]))
-    return pool
+    return corpus.pool
 
 
 # -- replay -----------------------------------------------------------------
@@ -768,72 +755,6 @@ def _apply_event(
                 replayed=False,
                 worker_id=event["worker_id"],
             )
-        return None
-
-    if event_type == "handoff_out":
-        worker_id = event["worker_id"]
-        recorded_blob = event["state"]
-        try:
-            exported = service.export_worker(worker_id)
-        except Exception as exc:
-            return Divergence(
-                seq=seq,
-                event_type=event_type,
-                field="export",
-                recorded="exported",
-                replayed=f"{type(exc).__name__}: {exc}",
-                worker_id=worker_id,
-            )
-        mismatch = _first_mismatch(recorded_blob.get("service", {}), exported)
-        if mismatch is not None:
-            field_name, rec, rep = mismatch
-            return Divergence(
-                seq=seq,
-                event_type=event_type,
-                field=field_name,
-                recorded=rec,
-                replayed=rep,
-                worker_id=worker_id,
-            )
-        service.unregister_worker(worker_id)
-        return None
-
-    if event_type == "handoff_in":
-        worker_id = event["worker_id"]
-        blob = event["state"]
-        n_keywords = len(next(iter(state.task_index.values())).vector)
-        for spec in blob.get("tasks", ()):
-            vector = np.zeros(n_keywords, dtype=bool)
-            if spec["interest"]:
-                vector[np.asarray(spec["interest"], dtype=int)] = True
-            state.task_index.setdefault(
-                spec["task_id"],
-                Task(
-                    task_id=spec["task_id"],
-                    vector=vector,
-                    group=spec.get("group", ""),
-                    title=spec.get("title", ""),
-                    reward=float(spec.get("reward", 0.05)),
-                    n_questions=int(spec.get("n_questions", 1)),
-                ),
-            )
-        try:
-            service.import_worker(worker_id, blob["service"], state.task_index)
-        except Exception as exc:
-            return Divergence(
-                seq=seq,
-                event_type=event_type,
-                field="adopt",
-                recorded="adopted",
-                replayed=f"{type(exc).__name__}: {exc}",
-                worker_id=worker_id,
-            )
-        display = blob["service"].get("display")
-        if display is not None:
-            # Mirror the daemon's C2 ledger: adopted display ids can never
-            # reappear in this shard's disjoint pool, but the end-state
-            # fingerprint covers the ledger, so replay must carry them.
-            state.displayed_ever.update(display["task_ids"])
         return None
 
     if event_type == "lease":

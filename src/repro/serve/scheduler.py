@@ -10,9 +10,7 @@ with its worker's freshly installed display event.
 
 The solver briefly occupies the event loop; micro-batching is precisely
 what keeps that affordable (one solver invocation per tick instead of one
-per request).  A deployment that needs more cores runs more daemons behind
-the consistent-hash router (:mod:`repro.serve.shard`), not more solver
-processes behind one loop.
+per request).
 
 Tracing: :meth:`submit` accepts the request's trace and opens its ``queue``
 span; when the batch lands, the stage spans collected in the batch's
@@ -86,8 +84,6 @@ class SolveScheduler:
         self._due: dict[str, None] = {}  # insertion-ordered set
         self._waiters: dict[str, list[_Waiter]] = {}
         self._wakeup: asyncio.Event = asyncio.Event()
-        self._idle: asyncio.Event = asyncio.Event()
-        self._idle.set()
         self._runner: asyncio.Task | None = None
         self._drain_overflow = False
         self._closed = False
@@ -136,22 +132,6 @@ class SolveScheduler:
                     future.set_exception(RuntimeError("scheduler stopped"))
         self._waiters.clear()
         self._due.clear()
-        self._idle.set()
-
-    async def quiesce(self) -> None:
-        """Block until no batch is queued (drain support).
-
-        Event-driven, not polled: queued work wakes the batching loop as
-        usual, and every landed batch (success or failure) signals the idle
-        event through :meth:`_finish_batch`, so this coroutine sleeps
-        between state changes instead of spinning.  A batch executes on the
-        loop in one step, so once nothing is queued nothing is in flight.
-        New :meth:`submit` calls made while quiescing extend the wait — the
-        drain protocol stops feeding the scheduler *before* quiescing.
-        """
-        while self._due or self._waiters:
-            self._idle.clear()
-            await self._idle.wait()
 
     def submit(
         self, worker_id: str, trace: "Trace | None" = None
@@ -298,4 +278,3 @@ class SolveScheduler:
                         future.set_exception(error)
                 elif not future.done():
                     future.set_result(events.get(worker_id))
-        self._idle.set()

@@ -82,7 +82,7 @@ class TestMeanWeightPolicy:
         policy = MeanWeightPolicy()
         assert policy.weights_for(estimator, "w") == estimator.weights_for("w")
         policy.load_state_dict(policy.state_dict())
-        assert policy.export_worker("w") == {}
+        assert policy.state_dict() == {"name": "off"}
 
 
 class TestThompsonWeightPolicy:
@@ -123,20 +123,6 @@ class TestThompsonWeightPolicy:
         tail_b = [clone.weights_for(estimator, "w").alpha for _ in range(6)]
         assert tail_a == tail_b
         assert clone.draws == source.draws
-
-    def test_export_import_worker_pulls(self):
-        estimator = fed_bayes()
-        source = ThompsonWeightPolicy(seed=3)
-        for _ in range(4):
-            source.weights_for(estimator, "w")
-        blob = source.export_worker("w")
-        assert blob == {"pulls": 4}
-        target = ThompsonWeightPolicy(seed=3)
-        target.import_worker("w", blob)
-        assert target.export_worker("w") == blob
-        assert target.export_worker("ghost") == {}
-        with pytest.raises(InvalidInstanceError):
-            target.import_worker("w", {"pulls": -1})
 
 
 class TestUCBWeightPolicy:

@@ -1,17 +1,14 @@
 """Daemon-level adaptivity tests: the repaired estimator seam end to end.
 
 The regression at the heart of PR 10: booting the daemon with
-``--estimator bayes`` worked until the first snapshot or shard handoff,
-which crashed on the estimator's missing ``state_dict`` /
-``export_worker`` half of the contract.  These tests boot real daemons
-over sockets and prove
+``--estimator bayes`` worked until the first snapshot, which crashed on
+the estimator's missing ``state_dict`` half of the contract.  These tests
+boot real daemons over sockets and prove
 
 * the default configuration exposes no bandit surface and keeps the
   paper's mean path;
 * a Bayesian daemon snapshots and restores with a bit-identical
   estimator;
-* a drained shard hands a worker to a sibling bit-identically with the
-  bandit policy's per-worker state riding along;
 * a journal recorded under ``bayes + thompson`` replays bit-identically
   (the Thompson draw stream reconstructs from the journal header alone).
 """
@@ -163,13 +160,13 @@ class TestBayesianSnapshotRestore:
                 assert daemon.snapshot_now()
                 return (
                     estimator.state_dict(),
-                    daemon.service.export_worker("w0"),
+                    daemon.service.snapshot_state(),
                 )
             finally:
                 await client.close()
                 await daemon.stop()
 
-        async def restart(state, blob):
+        async def restart(state, service_state):
             daemon = AssignmentDaemon(
                 make_pool(200),
                 serve_config(
@@ -180,7 +177,7 @@ class TestBayesianSnapshotRestore:
             client = HttpClient("127.0.0.1", daemon.port)
             try:
                 assert daemon.service.estimator.state_dict() == state
-                assert daemon.service.export_worker("w0") == blob
+                assert daemon.service.snapshot_state() == service_state
                 # The restored posterior keeps estimating (not just loading).
                 _, body = await client.request("GET", "/display/w0")
                 assert body["display"]["pending"]
@@ -189,51 +186,8 @@ class TestBayesianSnapshotRestore:
                 await daemon.stop()
 
         async def scenario():
-            state, blob = await record()
-            await restart(state, blob)
-
-        asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
-
-
-class TestBanditHandoff:
-    """Drain/handoff/adopt with estimator + bandit state riding along."""
-
-    def test_handoff_reexports_bit_identically(self):
-        async def scenario():
-            config = dict(estimator="bayes", bandit="ucb")
-            source = AssignmentDaemon(make_pool(200), serve_config(**config))
-            target = AssignmentDaemon(
-                make_pool(200), serve_config(**config, seed=1)
-            )
-            await source.start()
-            await target.start()
-            src = HttpClient("127.0.0.1", source.port)
-            dst = HttpClient("127.0.0.1", target.port)
-            try:
-                await drive(src)
-                assert source.service.weight_policy.draws > 0
-                status, _ = await src.request("POST", "/admin/drain")
-                assert status == 200
-                status, body = await src.request(
-                    "POST", "/admin/handoff", {"worker_ids": ["w1"]}
-                )
-                assert status == 200
-                blob = body["workers"]["w1"]
-                assert "bandit" in blob["service"]
-                assert blob["service"]["estimator"]
-                status, adopted = await dst.request(
-                    "POST", "/admin/adopt", {"workers": {"w1": blob}}
-                )
-                assert status == 200, adopted
-                assert adopted["adopted"] == ["w1"]
-                # Bit-identical continuation: re-exporting from the adopter
-                # reproduces the exact blob the source shipped.
-                assert target.service.export_worker("w1") == blob["service"]
-            finally:
-                await src.close()
-                await dst.close()
-                await source.stop()
-                await target.stop()
+            state, service_state = await record()
+            await restart(state, service_state)
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
 

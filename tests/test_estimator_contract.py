@@ -2,8 +2,8 @@
 
 Every estimator behind the ``AssignmentService`` seam must honour the same
 duck-typed contract: ``record``/``weights_for`` for the loop, plus
-``reset``/``observation_count``/``export_worker``/``import_worker``/
-``state_dict``/``load_state_dict`` for snapshots and shard handoff.  The
+``reset``/``observation_count``/``state_dict``/``load_state_dict`` for
+snapshots.  The
 estimator-swap crash this PR fixes was exactly a contract gap — the
 Bayesian estimator satisfied the loop half but not the snapshot half — so
 this suite runs the full surface against all estimator configurations.
@@ -17,11 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.adaptive import GainObservation, MotivationEstimator
 from repro.core.estimators import BayesianMotivationEstimator
-from repro.errors import InvalidInstanceError
 
-#: name -> zero-argument factory returning a fresh estimator.  Export /
-#: import partners must be built from the *same* factory (prior and decay
-#: are configuration and do not travel).
+#: name -> zero-argument factory returning a fresh estimator.  Snapshot
+#: partners must be built from the *same* factory.
 FACTORIES = {
     "plain": lambda: MotivationEstimator(),
     "plain-decayed": lambda: MotivationEstimator(decay=0.8),
@@ -73,7 +71,7 @@ class TestRecordAndWeights:
         estimator.record("w", obs(None, None))
         assert estimator.observation_count("w") == 0
         assert estimator.weights_for("w") == before
-        assert estimator.export_worker("w") == {}
+        assert estimator.state_dict() == factory().state_dict()
 
     def test_workers_are_independent(self, factory):
         estimator = factory()
@@ -93,87 +91,6 @@ class TestRecordAndWeights:
         assert estimator.weights_for("b") == kept
         estimator.reset()
         assert estimator.observation_count("b") == 0
-
-
-class TestExportImport:
-    def test_round_trip_is_bit_identical(self, factory):
-        source, target = factory(), factory()
-        feed(source, "w", 6)
-        blob = source.export_worker("w")
-        # The blob must be JSON-portable (it rides the handoff payload).
-        assert json.loads(json.dumps(blob)) == blob
-        target.import_worker("w", blob)
-        assert target.weights_for("w") == source.weights_for("w")
-        assert target.observation_count("w") == source.observation_count("w")
-        assert target.export_worker("w") == blob
-
-    def test_import_replaces_stale_state(self, factory):
-        source, target = factory(), factory()
-        feed(source, "w", 3)
-        feed(target, "w", 9)  # a previous registration epoch
-        target.import_worker("w", source.export_worker("w"))
-        assert target.weights_for("w") == source.weights_for("w")
-        assert target.observation_count("w") == 3
-
-    def test_import_empty_blob_clears_the_worker(self, factory):
-        estimator = factory()
-        feed(estimator, "w", 3)
-        estimator.import_worker("w", {})
-        assert estimator.observation_count("w") == 0
-        assert estimator.weights_for("w") == factory().weights_for("w")
-
-    def test_unknown_worker_exports_empty(self, factory):
-        assert factory().export_worker("ghost") == {}
-
-
-class TestImportValidation:
-    @pytest.mark.parametrize(
-        "blob",
-        [
-            {"diversity": [-0.1, 1.0]},
-            {"relevance": [0.5, -1.0]},
-            {"diversity": [float("nan"), 1.0]},
-            {"relevance": [float("inf"), 1.0]},
-            {"diversity": "garbage"},
-            {"diversity": [0.5]},
-            {"raw": [-1, 0]},
-            {"raw": "garbage"},
-        ],
-    )
-    def test_plain_rejects_malformed_blobs(self, blob):
-        estimator = MotivationEstimator()
-        with pytest.raises(InvalidInstanceError):
-            estimator.import_worker("w", blob)
-
-    @pytest.mark.parametrize(
-        "blob",
-        [
-            {"counts": [-0.1, 1.0]},
-            {"counts": [float("nan"), 1.0]},
-            {"counts": [float("inf"), 1.0]},
-            {"counts": "garbage"},
-            {"counts": [0.5]},
-            {"raw": -1},
-            {"raw": "garbage"},
-        ],
-    )
-    def test_bayes_rejects_malformed_blobs(self, blob):
-        estimator = BayesianMotivationEstimator()
-        with pytest.raises(InvalidInstanceError):
-            estimator.import_worker("w", blob)
-
-    def test_failed_import_still_cleared_stale_state(self, factory):
-        # Clearing before validating means a rejected import cannot leave
-        # the worker with the previous epoch's counts.
-        estimator = factory()
-        feed(estimator, "w", 5)
-        bad_key = (
-            "diversity" if isinstance(estimator, MotivationEstimator)
-            else "counts"
-        )
-        with pytest.raises(InvalidInstanceError):
-            estimator.import_worker("w", {bad_key: [-1.0, 1.0]})
-        assert estimator.observation_count("w") == 0
 
 
 class TestStateDict:
@@ -200,16 +117,6 @@ class TestStateDict:
         target.load_state_dict(state)
         assert target.weights_for("w") == source.weights_for("w")
         assert target.observation_count("w") >= 1
-
-    def test_legacy_export_without_raw_counts_still_imports(self, factory):
-        source, target = factory(), factory()
-        feed(source, "w", 4)
-        blob = source.export_worker("w")
-        blob.pop("raw")
-        target.import_worker("w", blob)
-        assert target.weights_for("w") == source.weights_for("w")
-        assert target.observation_count("w") >= 1
-
 
 class TestDecaySemantics:
     """The satellite bug: decayed mass must not masquerade as raw counts."""
@@ -266,25 +173,3 @@ class TestContractProperties:
         assert_simplex(weights)
         assert math.isfinite(weights.alpha)
         assert 0 <= estimator.observation_count("w") <= len(gains)
-
-    @given(
-        gains=st.lists(
-            st.tuples(
-                st.floats(min_value=1e-6, max_value=1.0),
-                st.floats(min_value=1e-6, max_value=1.0),
-            ),
-            min_size=1,
-            max_size=20,
-        ),
-        name=st.sampled_from(sorted(FACTORIES)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_export_import_round_trip_property(self, gains, name):
-        source, target = FACTORIES[name](), FACTORIES[name]()
-        for div, rel in gains:
-            source.record("w", obs(div, rel))
-        blob = source.export_worker("w")
-        target.import_worker("w", blob)
-        assert target.weights_for("w") == source.weights_for("w")
-        assert target.observation_count("w") == source.observation_count("w")
-        assert target.export_worker("w") == blob

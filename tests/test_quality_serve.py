@@ -271,8 +271,8 @@ class TestSnapshotV2:
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_snapshot_refused_on_restore(self, tmp_path, version):
         """A daemon pointed at an older-layout snapshot store (v1 before
-        quality, v2 before arrivals, v3 before shards) fails loudly at
-        restore instead of misreading the payload."""
+        quality, v2 before arrivals, v3 before the writer-id stamp) fails
+        loudly at restore instead of misreading the payload."""
         db = tmp_path / "snap.db"
         old = SnapshotStore(db, schema_version=version)
         old.save("serve", {"service": {}, "displayed_ever": []})

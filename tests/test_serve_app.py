@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,3 +476,44 @@ class TestIngestionSnapshotRestart:
             await restart(pending, remaining)
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+
+
+class TestWriterStampedSnapshot:
+    """Version-4 snapshots written by earlier builds carry a writer-id
+    stamp (``"shard_id": null``) in the payload; restore ignores it."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "snapshot_v4_writer_stamp.json"
+
+    def test_stamped_snapshot_restores(self, tmp_path):
+        from repro.serve.app import SNAPSHOT_KIND, SNAPSHOT_SCHEMA_VERSION
+        from repro.storage import SnapshotStore
+
+        payload = json.loads(self.FIXTURE.read_text())
+        assert payload["shard_id"] is None
+        store = str(tmp_path / "stamped.db")
+        with SnapshotStore(store, schema_version=SNAPSHOT_SCHEMA_VERSION) as db:
+            db.save(SNAPSHOT_KIND, payload)
+
+        async def restart():
+            daemon = AssignmentDaemon(
+                make_pool(60), serve_config(snapshot_path=store, restore=True)
+            )
+            await daemon.start()
+            client = HttpClient("127.0.0.1", daemon.port)
+            try:
+                assert daemon.service.snapshot_state() == payload["service"]
+                _, health = await client.request("GET", "/healthz")
+                assert health["workers"] == 2
+                assert health["admitted_tasks"] == 1
+                pending = daemon.service.pending_ids("w1")
+                status, _ = await client.request(
+                    "POST",
+                    "/complete",
+                    {"worker_id": "w1", "task_id": pending[0]},
+                )
+                assert status == 200
+            finally:
+                await client.close()
+                await daemon.stop()
+
+        asyncio.run(asyncio.wait_for(restart(), timeout=60.0))

@@ -251,9 +251,8 @@ _TABLE_ROW = re.compile(r"^\| `([a-z_<>*]+)` \| (?:counter|gauge|histogram) \|",
 
 
 def documented_families() -> set[str]:
-    """Every metric named in SERVING.md's tables, minus the router's own."""
-    names = set(_TABLE_ROW.findall(SERVING_MD.read_text(encoding="utf-8")))
-    return {name for name in names if not name.startswith("router_")}
+    """Every metric named in SERVING.md's tables."""
+    return set(_TABLE_ROW.findall(SERVING_MD.read_text(encoding="utf-8")))
 
 
 def _pattern(name: str) -> "re.Pattern[str]":

@@ -290,6 +290,83 @@ class TestParentTierPolicyHeader:
         assert report.ok and report.state_verified, report.to_dict()
 
 
+class TestParentShardIdHeader:
+    """Journals recorded by earlier builds carry ``"shard_id": null`` in
+    their header.  It lies outside the fingerprinted ``end`` payload, so
+    such a journal still loads and replays clean."""
+
+    def test_parent_journal_replays(self, recorded, tmp_path):
+        def stamp(record):
+            if record["type"] == "header":
+                record["shard_id"] = None
+            return record
+
+        journal = load_journal(rewrite(recorded, tmp_path / "p.jsonl", stamp))
+        assert journal.header["shard_id"] is None
+        report = replay_journal(journal, make_pool())
+        assert report.ok and report.state_verified, report.to_dict()
+
+
+class TestShardJournalsRefused:
+    """Journals only a sharded topology wrote are refused by name: exit 2,
+    the offending key or event in the message, and no traceback."""
+
+    @staticmethod
+    def replay_cli(journal, capsys):
+        from repro.cli import main
+
+        code = main(["replay", str(journal)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_sliced_corpus_spec_refused(self, cli_recorded, tmp_path, capsys):
+        def slice_corpus(record):
+            if record["type"] == "header":
+                record["corpus"]["shard"] = {"index": 0, "count": 2}
+            return record
+
+        journal = rewrite(cli_recorded, tmp_path / "slice.jsonl", slice_corpus)
+        code, err = self.replay_cli(journal, capsys)
+        assert code == 2
+        assert "['shard']" in err
+
+    def test_handoff_event_refused(self, cli_recorded, tmp_path, capsys):
+        relabeled = []
+
+        def hand_off(record):
+            if record["type"] == "unregister" and not relabeled:
+                relabeled.append(record["seq"])
+                return {
+                    "type": "handoff_out",
+                    "seq": record["seq"],
+                    "worker_id": record["worker_id"],
+                    "state": {},
+                }
+            return record
+
+        journal = rewrite(cli_recorded, tmp_path / "handoff.jsonl", hand_off)
+        assert relabeled
+        code, err = self.replay_cli(journal, capsys)
+        assert code == 2
+        assert "unknown event type 'handoff_out'" in err
+
+    def test_routing_journal_refused(self, tmp_path, capsys):
+        routing = tmp_path / "routing.jsonl"
+        lines = [
+            {"version": 1, "kind": "routing",
+             "ring": {"replicas": 64, "members": ["shard-0", "shard-1"]},
+             "shards": [{"index": 0, "host": "127.0.0.1", "port": 8101},
+                        {"index": 1, "host": "127.0.0.1", "port": 8102}]},
+            {"seq": 1, "type": "route", "op": "register", "worker_id": "w0",
+             "shard": 0, "ring_version": 0},
+        ]
+        routing.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        code, err = self.replay_cli(routing, capsys)
+        assert code == 2
+        assert "routing.jsonl:1: not a journal record (no 'type' key)" in err
+
+
 class TestBitIdentity:
     def test_inloop_journal_replays_under_every_variant(self, recorded):
         journal = load_journal(recorded)

@@ -197,26 +197,6 @@ class TestFailureModes:
         asyncio.run(scenario())
 
 
-class TestQuiesce:
-    def test_quiesce_waits_for_queued_batch(self):
-        async def scenario():
-            log = []
-            scheduler = SolveScheduler(
-                make_solver(log), MetricsRegistry(), max_batch_delay=0.02
-            )
-            scheduler.start()
-            future = scheduler.submit("w0")
-            await scheduler.quiesce()
-            landed = future.done()
-            await scheduler.quiesce()  # idle: returns at once
-            await scheduler.stop()
-            return log, landed
-
-        log, landed = asyncio.run(scenario())
-        assert log == [["w0"]]
-        assert landed
-
-
 class TestTraceThreading:
     """Traces ride through submit(); batch stage spans are adopted into
     every member trace, and metrics flow through the one SpanMetrics seam."""

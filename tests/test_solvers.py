@@ -166,15 +166,6 @@ class TestPipelineOptions:
         with pytest.raises(ValueError, match="matching method"):
             run_qap_pipeline(small_instance, "greedy", matching_method="nope")
 
-    def test_bad_swap_samples_rejected(self, small_instance):
-        with pytest.raises(ValueError, match="n_swap_samples"):
-            run_qap_pipeline(small_instance, "greedy", n_swap_samples=0)
-
-    def test_more_swap_samples_never_worse(self, small_instance):
-        base = run_qap_pipeline(small_instance, "greedy", rng=3, n_swap_samples=1)
-        more = run_qap_pipeline(small_instance, "greedy", rng=3, n_swap_samples=8)
-        assert more.qap_objective >= base.qap_objective - 1e-12
-
     def test_gre_with_auction_lsap(self, small_instance):
         result = HTAGreSolver(lsap_method="auction").solve(small_instance, rng=0)
         result.assignment.validate(small_instance)

@@ -207,29 +207,3 @@ class TestSnapshotSchemaVersion:
         message = str(err.value)
         assert "schema version 3 (found)" in message
         assert "schema version 5 (expected)" in message
-
-
-class TestSnapshotKinds:
-    """Snapshot kinds keep the records of different shards apart."""
-
-    def test_snapshot_kinds_are_shard_namespaced(self, tmp_path):
-        """Two shards of one topology can share a snapshot db without
-        clobbering each other's records."""
-        from repro.serve.app import (
-            SNAPSHOT_SCHEMA_VERSION,
-            snapshot_kind_for,
-        )
-
-        assert snapshot_kind_for(None) == "serve"
-        assert snapshot_kind_for(0) == "serve:shard-0"
-        assert snapshot_kind_for(3) == "serve:shard-3"
-        db = tmp_path / "shards.db"
-        with SnapshotStore(db, schema_version=SNAPSHOT_SCHEMA_VERSION) as store:
-            store.save(snapshot_kind_for(0), {"shard_id": 0})
-            store.save(snapshot_kind_for(1), {"shard_id": 1})
-            assert store.latest_record(snapshot_kind_for(0)).state == {
-                "shard_id": 0
-            }
-            assert store.latest_record(snapshot_kind_for(1)).state == {
-                "shard_id": 1
-            }
