@@ -28,8 +28,7 @@ replaced, on serving-path shapes:
 
 All committed numbers are *speedup ratios* (reference time / kernel time),
 so the baseline is machine-portable; each is taken from the unrounded
-timings: the minimum of three back-to-back samples per side for Jaccard,
-of seven per side, the sides alternating, for the LSAP and matching.
+timings: the minimum of seven samples per side, the sides alternating.
 Standalone: ``python benchmarks/bench_kernels.py`` writes
 ``benchmarks/BENCH_kernels.json``; ``--check BASELINE.json`` re-runs and
 fails when any ratio drops below 1.0 (the kernel is slower than its
@@ -61,11 +60,11 @@ LSAP_SQUARE = 300
 LSAP_RECT = (40, 400)  # workers x candidate tasks, the serving-path shape
 MATCHING_SHAPE = (400, 20, 20, 5)  # tasks, tasks per group, workers, x_max
 MATCHING_CALLS = 20  # walks per timed sample: one walk is ~1 ms
-#: Samples per side of an LSAP or matching pair, taken alternately, so a
+#: Samples per side of a reference/kernel pair, taken alternately, so a
 #: slow spell of a shared host hits both sides and the minimum skips it
-#: (best-of-3 in a row let one spell cover a ~1 ms kernel's every sample).
+#: (best-of-3 in a row let one spell cover a ~1 ms kernel's every sample,
+#: and gave the second side warm caches).
 INTERLEAVED = 7
-REPEATS = 3  # back-to-back samples per Jaccard side
 
 #: Ratio metrics CI compares against the committed baseline (>25% fails);
 #: all are speedups, higher is better.
@@ -83,17 +82,6 @@ REGRESSION_TOLERANCE = 0.25
 #: drift floor alone cannot catch that for baselines near 1 (1.25 x 0.75
 #: is 0.94).
 MIN_SPEEDUP = 1.0
-
-
-def _best_of(fn, repeats: int = REPEATS) -> tuple[float, object]:
-    """Minimum wall time over ``repeats`` runs, plus the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, result
 
 
 def _interleaved(reference, kernel, samples: int = INTERLEAVED):
@@ -129,15 +117,17 @@ def measure_jaccard() -> dict:
     n, width = JACCARD_SQUARE
     matrix = rng.random((n, width)) < 0.25
 
-    int64_s, reference = _best_of(lambda: int64_jaccard(matrix, matrix))
-    blas_s, blas = _best_of(lambda: pairwise_jaccard(matrix))
+    (int64_s, blas_s), (reference, blas) = _interleaved(
+        lambda: int64_jaccard(matrix, matrix), lambda: pairwise_jaccard(matrix)
+    )
     assert (blas == reference).all(), "BLAS kernel diverged from int64"
 
     n_left, n_right, width = JACCARD_CROSS
     left = rng.random((n_left, width)) < 0.25
     right = rng.random((n_right, width)) < 0.25
-    int64_cross_s, reference_cross = _best_of(lambda: int64_jaccard(left, right))
-    blas_cross_s, blas_cross = _best_of(lambda: pairwise_jaccard(left, right))
+    (int64_cross_s, blas_cross_s), (reference_cross, blas_cross) = _interleaved(
+        lambda: int64_jaccard(left, right), lambda: pairwise_jaccard(left, right)
+    )
     assert (blas_cross == reference_cross).all(), "cross kernel diverged"
 
     return {

@@ -11,7 +11,7 @@ converge toward each worker's true (alpha, beta).
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core import BayesianMotivationEstimator, MotivationEstimator
+from repro.core import MotivationEstimator
 from repro.core.adaptive import run_adaptive_loop
 from repro.core.solvers import RandomSolver
 from repro.data import AMTConfig, generate_amt_pool, generate_offline_workers
@@ -50,18 +50,6 @@ def main() -> None:
     for latent_alpha in LATENT_ALPHAS:
         workers = generate_offline_workers(1, pool.vocabulary, rng=1)
         estimator = MotivationEstimator()
-        bayesian = BayesianMotivationEstimator()
-
-        class _Both:
-            """Feed both estimators from one stream of observations."""
-
-            def record(self, worker_id, observation):
-                estimator.record(worker_id, observation)
-                bayesian.record(worker_id, observation)
-
-            def weights_for(self, worker_id):
-                return estimator.weights_for(worker_id)
-
         run_adaptive_loop(
             pool,
             workers,
@@ -69,22 +57,19 @@ def main() -> None:
             solver=RandomSolver(),
             n_iterations=6,
             completion_policy=make_policy(latent_alpha),
-            estimator=_Both(),
+            estimator=estimator,
             rng=2,
         )
         estimated = estimator.weights_for("w0")
-        low, high = bayesian.credible_interval("w0", mass=0.9)
         rows.append(
             [latent_alpha, round(estimated.alpha, 3),
-             round(bayesian.weights_for("w0").alpha, 3),
-             f"[{low:.2f}, {high:.2f}]",
              estimator.observation_count("w0")]
         )
 
     print(format_table(
-        ["latent alpha", "paper estimate", "Bayes mean", "90% interval", "obs"],
+        ["latent alpha", "paper estimate", "obs"],
         rows,
-        title="Latent vs estimated diversity preference (two estimators)",
+        title="Latent vs estimated diversity preference",
     ))
     estimated = [row[1] for row in rows]
     monotone = all(a >= b for a, b in zip(estimated, estimated[1:]))

@@ -173,15 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--answer-labels", type=int, default=4,
                          help="size of the categorical answer space used for "
                               "gold truth labels (>= 2)")
-    p_serve.add_argument("--estimator", choices=["plain", "bayes"],
-                         default="plain",
-                         help="motivation estimator: the paper's averaging "
-                              "(plain) or the Beta-posterior Bayesian one "
-                              "(required for --bandit thompson)")
-    p_serve.add_argument("--bandit", choices=["off", "thompson", "ucb"],
-                         default="off",
-                         help="bandit policy over solve-time alpha/beta: "
-                              "off keeps the estimator mean bit-identically")
     p_serve.set_defaults(handler=_cmd_serve)
 
     p_replay = sub.add_parser(
@@ -337,10 +328,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.restore and not args.snapshot_path:
         print("--restore requires --snapshot-path", file=sys.stderr)
         return 2
-    if args.bandit == "thompson" and args.estimator != "bayes":
-        print("--bandit thompson requires --estimator bayes "
-              "(Thompson samples the Beta posterior)", file=sys.stderr)
-        return 2
     quality = None
     if args.gold_rate > 0 or args.redundancy > 1:
         from .quality import AdjudicationConfig, GoldConfig, QualityConfig
@@ -385,8 +372,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace_sample_rate=args.trace_sample_rate,
         journal_path=args.journal,
         corpus_spec=corpus_spec,
-        estimator=args.estimator,
-        bandit=args.bandit,
     )
     if fault_plan is not None:
         print(f"fault injection active: {fault_plan.to_dict()}")

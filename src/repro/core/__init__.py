@@ -9,16 +9,6 @@ from .adaptive import (
     run_adaptive_loop,
 )
 from .assignment import Assignment
-from .bandit import (
-    ESTIMATORS,
-    WEIGHT_POLICIES,
-    MeanWeightPolicy,
-    ThompsonWeightPolicy,
-    UCBWeightPolicy,
-    build_adaptivity,
-    make_estimator,
-    make_weight_policy,
-)
 from .distance import (
     DistanceSpec,
     angular_distance,
@@ -32,7 +22,6 @@ from .distance import (
     register_distance,
     registered_distances,
 )
-from .estimators import BayesianMotivationEstimator
 from .instance import HTAInstance
 from .keywords import Vocabulary
 from .motivation import motivation, relevance, task_diversity, task_relevance
@@ -41,15 +30,9 @@ from .task import Task, TaskGroup, TaskPool, pool_from_vectors
 from .worker import MotivationWeights, Worker, WorkerPool
 
 __all__ = [
-    "ESTIMATORS",
-    "WEIGHT_POLICIES",
     "AdaptiveTrace",
     "Assignment",
-    "BayesianMotivationEstimator",
     "DistanceSpec",
-    "MeanWeightPolicy",
-    "ThompsonWeightPolicy",
-    "UCBWeightPolicy",
     "GainObservation",
     "HTAInstance",
     "IterationRecord",
@@ -63,15 +46,12 @@ __all__ = [
     "Worker",
     "WorkerPool",
     "angular_distance",
-    "build_adaptivity",
     "build_encoding",
     "check_metric_on_sample",
     "euclidean_distance",
     "get_distance",
     "hamming_distance",
     "jaccard_distance",
-    "make_estimator",
-    "make_weight_policy",
     "motivation",
     "observe_gains",
     "pairwise_jaccard",

@@ -16,7 +16,7 @@ reconciliation — see DESIGN.md).
 
 :class:`MotivationEstimator` owns that bookkeeping; :func:`run_adaptive_loop`
 drives a full offline loop — solve, simulate completions, re-estimate,
-re-solve — and returns a trace used by the adaptivity ablation bench.
+re-solve — and returns its trace.
 """
 
 from __future__ import annotations
@@ -148,12 +148,6 @@ class MotivationEstimator:
         if raw is None:
             return 0
         return max(raw[0], raw[1])
-
-    def effective_count(self, worker_id: str) -> float:
-        """The decay-weighted observation mass (what the averages divide by)."""
-        div = self._diversity.get(worker_id)
-        rel = self._relevance.get(worker_id)
-        return max(div[1] if div else 0.0, rel[1] if rel else 0.0)
 
     def average_gains(self, worker_id: str) -> tuple[float | None, float | None]:
         """The (possibly decayed) mean diversity and relevance gains."""
@@ -290,7 +284,6 @@ def run_adaptive_loop(
     completion_policy: CompletionPolicy = complete_all_in_order,
     estimator: MotivationEstimator | None = None,
     rng: "int | np.random.Generator | None" = None,
-    weight_policy: "object | None" = None,
 ) -> AdaptiveTrace:
     """Drive the solve / observe / re-estimate / re-solve loop (Section III).
 
@@ -305,9 +298,6 @@ def run_adaptive_loop(
             :mod:`repro.crowd.behavior` for realistic traces).
         estimator: Bring-your-own estimator (e.g. with decay); a fresh plain
             averager is used by default.
-        weight_policy: Optional bandit policy (see :mod:`repro.core.bandit`)
-            with ``weights_for(estimator, worker_id)``; when given, it decides
-            the solve-time weights instead of the estimator's mean.
     """
     generator = ensure_rng(rng)
     estimator = estimator or MotivationEstimator()
@@ -345,16 +335,10 @@ def run_adaptive_loop(
                 current_tasks[i].task_id for i in done_so_far
             ]
 
-        if weight_policy is not None:
-            updated = [
-                w.with_weights(weight_policy.weights_for(estimator, w.worker_id))
-                for w in current_workers
-            ]
-        else:
-            updated = [
-                w.with_weights(estimator.weights_for(w.worker_id))
-                for w in current_workers
-            ]
+        updated = [
+            w.with_weights(estimator.weights_for(w.worker_id))
+            for w in current_workers
+        ]
         current_workers = current_workers.with_updated(updated)
         weights_after = {w.worker_id: w.weights for w in current_workers}
 

@@ -253,16 +253,12 @@ class AssignmentService:
         config: ServiceConfig | None = None,
         estimator: MotivationEstimator | None = None,
         rng: "int | np.random.Generator | None" = None,
-        weight_policy: "object | None" = None,
     ):
         self._vocabulary = pool.vocabulary
         self._strategy = strategy
         get_solver(strategy)  # an unknown strategy fails here, not at a solve
         self._config = config or ServiceConfig()
         self._estimator = estimator or MotivationEstimator()
-        # Optional bandit over solve-time weights (repro.core.bandit);
-        # ``None`` keeps the estimator-mean path bit-identical.
-        self._weight_policy = weight_policy
         self._rng = ensure_rng(rng)
         self._pool_state = TaskPoolState(pool, self._rng)
         # Every id the startup corpus ever contained: a displayed task
@@ -295,13 +291,8 @@ class AssignmentService:
 
     @property
     def estimator(self) -> MotivationEstimator:
-        """The live estimator (duck-typed; may be Bayesian)."""
+        """The live estimator."""
         return self._estimator
-
-    @property
-    def weight_policy(self) -> "object | None":
-        """The installed bandit weight policy, or ``None`` (mean path)."""
-        return self._weight_policy
 
     @property
     def pool_state(self) -> TaskPoolState:
@@ -357,17 +348,8 @@ class AssignmentService:
         diversity as the posterior mean ``r`` falls.  The early return at
         weight 0 is load-bearing: it guarantees bit-identical floats, not
         merely close ones, for the seed configuration.
-
-        When a bandit weight policy is installed (and the strategy is
-        adaptive, so weights aren't forced), the policy decides the base
-        weights from the estimator's posterior — Thompson draws happen
-        here, once per worker per prepared solve, in worker order, which
-        is what makes the draw sequence replayable.
         """
-        if self._weight_policy is not None and self.is_adaptive:
-            weights = self._weight_policy.weights_for(self._estimator, worker_id)
-        else:
-            weights = self.weights_of(worker_id)
+        weights = self.weights_of(worker_id)
         w = self._config.reputation_weight
         if w <= 0.0 or self._reputation_provider is None:
             return weights
@@ -690,14 +672,6 @@ class AssignmentService:
             },
             "estimator": self._estimator.state_dict(),
             "rng_state": self._rng.bit_generator.state,
-            # Only non-default policies add a key: the default snapshot
-            # payload (and hence journal end-state fingerprints) must not
-            # change shape.
-            **(
-                {"weight_policy": self._weight_policy.state_dict()}
-                if self._weight_policy is not None
-                else {}
-            ),
         }
 
     def restore_state(self, state: dict, tasks: Mapping[str, Task]) -> None:
@@ -718,6 +692,17 @@ class AssignmentService:
             raise SimulationError(
                 f"snapshot was taken with strategy {state.get('strategy')!r}, "
                 f"this service runs {self._strategy!r}"
+            )
+        if "weight_policy" in state:
+            raise SimulationError(
+                f"snapshot carries a weight policy "
+                f"({state['weight_policy'].get('name')!r}); weight bandits "
+                f"were retired and cannot be restored"
+            )
+        if "counts" in state["estimator"] and "diversity" not in state["estimator"]:
+            raise SimulationError(
+                "snapshot carries a Bayesian estimator state; only the "
+                "paper's averaging estimator can be restored"
             )
         n_keywords = len(self._vocabulary)
         admitted: dict[str, Task] = {}
@@ -772,8 +757,6 @@ class AssignmentService:
         self._displays = displays
         self._admitted = admitted
         self._estimator.load_state_dict(state["estimator"])
-        if self._weight_policy is not None and "weight_policy" in state:
-            self._weight_policy.load_state_dict(state["weight_policy"])
         self._rng.bit_generator.state = state["rng_state"]
 
     # -- internals -------------------------------------------------------------

@@ -36,7 +36,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..core.bandit import build_adaptivity
 from ..core.task import Task, TaskPool
 from ..core.worker import Worker
 from ..crowd.events import TasksAssigned
@@ -109,13 +108,6 @@ class ServeConfig:
     #: Quality-control subsystem (gold injection, redundancy, reputation);
     #: ``None`` leaves the daemon byte-identical to a quality-free build.
     quality: QualityConfig | None = None
-    #: Motivation estimator: ``plain`` (the paper's averaging) or ``bayes``
-    #: (Beta posterior; enables Thompson sampling).
-    estimator: str = "plain"
-    #: Bandit policy over solve-time weights: ``off`` (posterior/average
-    #: mean, bit-identical to the seed behaviour), ``thompson``, or ``ucb``
-    #: (see :mod:`repro.core.bandit`).
-    bandit: str = "off"
 
 
 class AssignmentDaemon:
@@ -135,17 +127,11 @@ class AssignmentDaemon:
             serving_pool = QualityController.serving_pool(
                 pool, self.config.quality
             )
-        estimator, weight_policy = build_adaptivity(
-            {"estimator": self.config.estimator, "bandit": self.config.bandit},
-            seed=self.config.seed,
-        )
         self.service = AssignmentService(
             serving_pool,
             self.config.strategy,
             self.config.service,
-            estimator=estimator,
             rng=self.config.seed,
-            weight_policy=weight_policy,
         )
         if self.quality is not None:
             self.service.set_reputation_provider(self.quality.reputation.mean)
@@ -233,16 +219,6 @@ class AssignmentDaemon:
             "serve_deduplicated_completions_total",
             "Retried completions answered from the completion cache",
         )
-        # Bandit metrics exist only when a weight policy is on, so the
-        # default daemon's /metrics output is unchanged.
-        self._bandit_draws = (
-            r.gauge(
-                "serve_bandit_weight_draws",
-                "Total bandit weight-policy consultations so far",
-            )
-            if weight_policy is not None
-            else None
-        )
         # (worker_id, completion_key) -> the original /complete response.
         # Scoped per registration epoch: entries are purged when the worker
         # unregisters or registers afresh, so a later worker reusing the
@@ -268,10 +244,6 @@ class AssignmentDaemon:
                         if self.config.quality is None
                         else self.config.quality.to_dict()
                     ),
-                    "adaptivity": {
-                        "estimator": self.config.estimator,
-                        "bandit": self.config.bandit,
-                    },
                     "recorded_with": {
                         "fault_plan": (
                             None
@@ -380,7 +352,6 @@ class AssignmentDaemon:
                 self._register_display(event)
                 self._reassignments.inc()
             self._quality_tick()
-            self._adaptivity_tick()
             self._maybe_snapshot()
         return events
 
@@ -413,11 +384,6 @@ class AssignmentDaemon:
         self.quality.on_tick()
         if self._recorder is not None:
             self._recorder.record_tick()
-
-    def _adaptivity_tick(self) -> None:
-        """Post-batch bandit bookkeeping: the weight policy's draw gauge."""
-        if self._bandit_draws is not None:
-            self._bandit_draws.set(self.service.weight_policy.draws)
 
     # -- snapshot / restore --------------------------------------------------
 
@@ -631,14 +597,6 @@ class AssignmentDaemon:
             },
             "admitted_tasks": len(self.service.admitted_tasks()),
             "resilience": self.degradation.describe(),
-            "adaptivity": {
-                "estimator": self.config.estimator,
-                "bandit": (
-                    {"policy": "off", "draws": 0}
-                    if self.service.weight_policy is None
-                    else self.service.weight_policy.describe()
-                ),
-            },
         }
         if self.fault is not None:
             payload["fault_injection"] = self.fault.describe()

@@ -857,15 +857,6 @@ def main(argv: list[str] | None = None) -> int:
         help="spawned daemon's reputation-weighted relevance term "
              "(--spawn-server only)",
     )
-    parser.add_argument(
-        "--estimator", choices=["plain", "bayes"], default="plain",
-        help="spawned daemon's motivation estimator (--spawn-server only)",
-    )
-    parser.add_argument(
-        "--bandit", choices=["off", "thompson", "ucb"], default="off",
-        help="spawned daemon's weight-policy bandit (--spawn-server only; "
-             "thompson requires --estimator bayes)",
-    )
     args = parser.parse_args(argv)
     config = LoadgenConfig(
         host=args.host,
@@ -888,13 +879,9 @@ def main(argv: list[str] | None = None) -> int:
         arrival_batch=args.arrival_batch,
         arrival_interval=args.arrival_interval,
     )
-    if args.bandit == "thompson" and args.estimator != "bayes":
-        print("--bandit thompson requires --estimator bayes", file=sys.stderr)
-        return 2
     if args.spawn_server:
         serve_config = None
         quality_wanted = args.gold_rate > 0 or args.redundancy > 1
-        adaptivity_wanted = args.estimator != "plain" or args.bandit != "off"
         if (
             args.trace_file
             or args.trace_sample_rate > 0
@@ -902,7 +889,6 @@ def main(argv: list[str] | None = None) -> int:
             or args.fault_plan
             or quality_wanted
             or args.reputation_weight > 0
-            or adaptivity_wanted
         ):
             from ..crowd.service import ServiceConfig
             from ..quality import (
@@ -937,8 +923,6 @@ def main(argv: list[str] | None = None) -> int:
                 fault_plan=fault_plan,
                 journal_path=args.journal,
                 quality=quality,
-                estimator=args.estimator,
-                bandit=args.bandit,
             )
         result, snapshot = asyncio.run(
             run_self_contained(

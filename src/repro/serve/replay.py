@@ -52,7 +52,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.bandit import build_adaptivity
 from ..core.task import Task, TaskPool
 from ..core.worker import Worker
 from ..crowd.events import TasksAssigned
@@ -357,15 +356,6 @@ class Journal:
 
         return QualityConfig.from_dict(spec)
 
-    def adaptivity(self) -> dict:
-        """The recorded estimator/bandit config; journals recorded before
-        the adaptivity header key default to the paper's behaviour."""
-        spec = self.header.get("adaptivity") or {}
-        return {
-            "estimator": spec.get("estimator", "plain"),
-            "bandit": spec.get("bandit", "off"),
-        }
-
 
 def load_journal(path: "str | Path") -> Journal:
     """Parse and validate a journal file; raises :class:`ReplayError` on
@@ -397,6 +387,17 @@ def load_journal(path: "str | Path") -> Journal:
     for key in ("strategy", "seed", "service", "pool_sha"):
         if key not in header:
             raise ReplayError(f"{path}: header is missing {key!r}")
+    # Earlier builds stamped an ``adaptivity`` block; only the paper's
+    # averaging estimator without a weight bandit still replays (a leftover
+    # ``tier_policy`` was never read).
+    adaptivity = header.get("adaptivity") or {}
+    for key, paper in (("estimator", "plain"), ("bandit", "off")):
+        if adaptivity.get(key, paper) != paper:
+            raise ReplayError(
+                f"{path}: header adaptivity.{key} is {adaptivity[key]!r}; "
+                f"weight bandits and the Bayesian estimator were retired, "
+                f"so only {key} {paper!r} replays"
+            )
     events = []
     for lineno, record in records[1:]:
         event_type = record["type"]
@@ -581,20 +582,12 @@ def replay_journal(
 
         quality = QualityController(pool, quality_config)
         serving_pool = QualityController.serving_pool(pool, quality_config)
-    # Rebuild the recorded estimator/bandit stack exactly as the daemon did
-    # (including the Thompson stream derived from the journal seed), so a
-    # bandit-policy journal replays its draw sequence bit-identically.
-    estimator, weight_policy = build_adaptivity(
-        journal.adaptivity(), seed=journal.seed
-    )
     state = _ReplayState(
         service=AssignmentService(
             serving_pool,
             journal.strategy,
             journal.service_config(),
-            estimator=estimator,
             rng=journal.seed,
-            weight_policy=weight_policy,
         ),
         task_index={t.task_id: t for t in serving_pool},
         quality=quality,

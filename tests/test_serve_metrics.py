@@ -282,8 +282,6 @@ def emitted_families() -> set[str]:
             adjudication=AdjudicationConfig(redundancy=2),
         ),
         fault_plan=FaultPlan(seed=1, solve_delay_p=0.5),
-        estimator="bayes",
-        bandit="thompson",
         trace_sample_rate=1.0,
     )
 

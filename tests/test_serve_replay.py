@@ -269,25 +269,68 @@ class TestJournalSchema:
             load_journal(rewrite(recorded, tmp_path / "h.jsonl", strip))
 
 
-class TestParentTierPolicyHeader:
-    """Journals recorded before the tier bandit was removed carry
-    ``adaptivity.tier_policy`` in their header.  Replay never read it
-    (every ``register`` and ``lease`` event records its solver), so both
-    values still load and replay clean."""
+def replay_cli(journal, capsys):
+    """``repro replay JOURNAL``: the exit code and stderr, never a traceback."""
+    from repro.cli import main
 
-    @pytest.mark.parametrize("tier_policy", ["streak", "bandit"])
+    code = main(["replay", str(journal)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+class TestParentTierPolicyHeader:
+    """Journals recorded by earlier builds carry an ``adaptivity`` block in
+    their header: the paper's ``{"estimator": "plain", "bandit": "off"}``,
+    and before the tier bandit was removed a ``tier_policy`` too.  Replay
+    never read the tier policy (every ``register`` and ``lease`` event
+    records its solver), so every such block loads and replays clean."""
+
+    @pytest.mark.parametrize("tier_policy", [None, "streak", "bandit"])
     def test_parent_journal_replays(self, recorded, tmp_path, tier_policy):
+        block = {"estimator": "plain", "bandit": "off"}
+        if tier_policy is not None:
+            block["tier_policy"] = tier_policy
+
         def stamp(record):
             if record["type"] == "header":
-                record["adaptivity"]["tier_policy"] = tier_policy
+                assert "adaptivity" not in record
+                record["adaptivity"] = dict(block)
             return record
 
         journal = load_journal(
             rewrite(recorded, tmp_path / f"{tier_policy}.jsonl", stamp)
         )
-        assert journal.header["adaptivity"]["tier_policy"] == tier_policy
+        assert journal.header["adaptivity"] == block
         report = replay_journal(journal, make_pool())
         assert report.ok and report.state_verified, report.to_dict()
+
+
+class TestRetiredAdaptivityRefused:
+    """A journal recorded with the Bayesian estimator or a weight bandit
+    cannot be replayed by a build without them: it is refused by name,
+    exit 2, before any event is applied."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("estimator", "bayes"), ("bandit", "thompson"), ("bandit", "ucb")],
+    )
+    def test_retired_adaptivity_refused(
+        self, cli_recorded, tmp_path, capsys, key, value
+    ):
+        block = {"estimator": "plain", "bandit": "off", key: value}
+
+        def stamp(record):
+            if record["type"] == "header":
+                record["adaptivity"] = block
+            return record
+
+        journal = rewrite(cli_recorded, tmp_path / f"{value}.jsonl", stamp)
+        with pytest.raises(ReplayError, match=f"adaptivity.{key} is '{value}'"):
+            load_journal(journal)
+        code, err = replay_cli(journal, capsys)
+        assert code == 2
+        assert f"adaptivity.{key} is '{value}'" in err
 
 
 class TestParentShardIdHeader:
@@ -311,15 +354,6 @@ class TestShardJournalsRefused:
     """Journals only a sharded topology wrote are refused by name: exit 2,
     the offending key or event in the message, and no traceback."""
 
-    @staticmethod
-    def replay_cli(journal, capsys):
-        from repro.cli import main
-
-        code = main(["replay", str(journal)])
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        return code, err
-
     def test_sliced_corpus_spec_refused(self, cli_recorded, tmp_path, capsys):
         def slice_corpus(record):
             if record["type"] == "header":
@@ -327,7 +361,7 @@ class TestShardJournalsRefused:
             return record
 
         journal = rewrite(cli_recorded, tmp_path / "slice.jsonl", slice_corpus)
-        code, err = self.replay_cli(journal, capsys)
+        code, err = replay_cli(journal, capsys)
         assert code == 2
         assert "['shard']" in err
 
@@ -347,7 +381,7 @@ class TestShardJournalsRefused:
 
         journal = rewrite(cli_recorded, tmp_path / "handoff.jsonl", hand_off)
         assert relabeled
-        code, err = self.replay_cli(journal, capsys)
+        code, err = replay_cli(journal, capsys)
         assert code == 2
         assert "unknown event type 'handoff_out'" in err
 
@@ -362,7 +396,7 @@ class TestShardJournalsRefused:
              "shard": 0, "ring_version": 0},
         ]
         routing.write_text("".join(json.dumps(line) + "\n" for line in lines))
-        code, err = self.replay_cli(routing, capsys)
+        code, err = replay_cli(routing, capsys)
         assert code == 2
         assert "routing.jsonl:1: not a journal record (no 'type' key)" in err
 

@@ -99,6 +99,11 @@ class TestDegradationLadder:
         # An unrelated strategy keeps its spot at tier 0.
         assert degradation_ladder("hta-adapt")[0] == "hta-adapt"
 
+    def test_daemon_walks_its_strategy_ladder_with_the_streak_controller(self):
+        daemon = AssignmentDaemon(make_pool(4), ServeConfig(seed=0))
+        assert type(daemon.degradation) is DegradationController
+        assert daemon.degradation.ladder == ("hta-gre", "greedy-relevance")
+
     def _controller(self, breach=2, recover=2):
         registry = MetricsRegistry()
         controller = DegradationController(

@@ -580,6 +580,40 @@ class TestAdmissionSnapshot:
             restored.admit_tasks([Task("arr-0", np.zeros(12, dtype=bool))])
 
 
+class TestRetiredAdaptivitySnapshot:
+    """Snapshots written with a weight bandit or the Bayesian estimator are
+    refused by name, before any state is replaced."""
+
+    @staticmethod
+    def refused(pool, vocab, mutate, match):
+        service = AssignmentService(pool, "hta-gre", SMALL_CONFIG, rng=0)
+        service.register_worker(make_worker(vocab), 0.0)
+        state = service.snapshot_state()
+        mutate(state)
+        restored = AssignmentService(pool, "hta-gre", SMALL_CONFIG, rng=0)
+        before = restored.snapshot_state()
+        with pytest.raises(SimulationError, match=match):
+            restored.restore_state(state, {t.task_id: t for t in pool})
+        assert restored.snapshot_state() == before
+
+    def test_weight_policy_refused(self, pool, vocab):
+        def add_policy(state):
+            state["weight_policy"] = {"name": "thompson", "draws": 4, "pulls": {}}
+
+        self.refused(pool, vocab, add_policy, "weight policy.*'thompson'")
+
+    def test_bayesian_estimator_state_refused(self, pool, vocab):
+        def bayesian(state):
+            state["estimator"] = {
+                "prior": [1.0, 1.0],
+                "decay": 1.0,
+                "counts": {"w0": [2.0, 1.0]},
+                "raw": {"w0": 3},
+            }
+
+        self.refused(pool, vocab, bayesian, "Bayesian estimator")
+
+
 def make_service(pool, **config_kwargs):
     """A seeded service over ``pool`` with three registered workers."""
     defaults = dict(x_max=4, n_random_pad=2, reassign_after=2, min_pending=1)
