@@ -41,7 +41,7 @@ def shortlist_instance(cap: int, seed: int = 0) -> HTAInstance:
 @pytest.mark.parametrize("cap", CAPS)
 def test_ablation_candidate_cap_time(benchmark, cap):
     instance = shortlist_instance(cap)
-    instance.diversity
+    instance.profile_pair
     instance.relevance
     solver = get_solver("hta-gre")
     benchmark.pedantic(solver.solve, args=(instance, 0), rounds=1, iterations=1)

@@ -25,7 +25,7 @@ def instance_for(x_max: int):
 @pytest.mark.parametrize("x_max", XMAX_SWEEP)
 def test_ablation_xmax_time(benchmark, x_max):
     instance = instance_for(x_max)
-    instance.diversity  # warm matrices outside the timed region
+    instance.profile_pair  # warm matrices outside the timed region
     instance.relevance
     solver = get_solver("hta-gre")
     benchmark.pedantic(solver.solve, args=(instance, 0), rounds=1, iterations=1)

@@ -20,8 +20,9 @@ replaced, on serving-path shapes:
   reference on the expanded 100 x 400 clique rectangle it stands for.
   Values are checked equal while timing.
 * **Greedy matching** — ``greedy_matching_dense`` walking keyword-profile
-  pairs (the pipeline's call) vs the same walk with ``profile=None``,
-  which is the task-pair walk it replaced, on a Fig. 2 instance (|T|=400
+  pairs of the profile matrix (the pipeline's call) vs the same walk with
+  ``profile=None`` on the task matrix, which is the task-pair walk it
+  replaced, on a Fig. 2 instance (|T|=400
   in 20-task groups, |W|=20, x_max=5).  Tie order differs, so the outputs
   are checked to be matchings, the profile walk's weight at least half the
   task walk's (both are greedy, so both reach half the optimum).
@@ -201,13 +202,14 @@ def measure_quotient() -> dict:
 
 def measure_matching() -> dict:
     instance = build_offline_instance(*MATCHING_SHAPE, rng=2)
-    weights, profile = instance.diversity, instance.profile_pair[1]
+    # The task walk reads the task matrix, the profile walk the profile pair.
+    weights, (profiles, profile) = instance.diversity, instance.profile_pair
 
-    def walks(labels):
-        return [greedy_matching_dense(weights, labels) for _ in range(MATCHING_CALLS)][-1]
+    def walks(matrix, labels):
+        return [greedy_matching_dense(matrix, labels) for _ in range(MATCHING_CALLS)][-1]
 
     (task_s, profile_s), (task_walk, profile_walk) = _interleaved(
-        lambda: walks(None), lambda: walks(profile)
+        lambda: walks(weights, None), lambda: walks(profiles, profile)
     )
     assert is_matching(task_walk) and is_matching(profile_walk)
     assert matching_weight(weights, profile_walk) >= 0.5 * matching_weight(

@@ -33,7 +33,8 @@ N_TASKS_FIXED = 500
 @functools.lru_cache(maxsize=None)
 def cached_instance(n_tasks: int, n_workers: int, n_groups: int | None = None):
     """Build (and cache) one offline instance per size; also pre-computes the
-    diversity/relevance matrices so benches time solving, not encoding."""
+    profile-distance and relevance matrices so benches time solving, not
+    encoding."""
     instance = build_offline_instance(
         n_tasks,
         TASKS_PER_GROUP if n_groups is None else 0,
@@ -42,7 +43,7 @@ def cached_instance(n_tasks: int, n_workers: int, n_groups: int | None = None):
         rng=12345,
         n_groups=n_groups,
     )
-    instance.diversity
+    instance.profile_pair
     instance.relevance
     return instance
 

@@ -404,9 +404,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 2
     try:
         journal = load_journal(path)
-        pool = pool_from_corpus_spec(journal.corpus_spec)
     except ReplayError as exc:
-        print(f"cannot replay {path}: {exc}", file=sys.stderr)
+        # load_journal's messages begin with the journal's path.
+        print(f"cannot replay {exc}", file=sys.stderr)
         return 2
     variants = [ReplayVariant()]
     if args.pin_tier is not None:
@@ -414,6 +414,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             ReplayVariant(f"pin:{args.pin_tier}", pinned_solver=args.pin_tier)
         )
     try:
+        pool = pool_from_corpus_spec(journal.corpus_spec)
         reports = [replay_journal(journal, pool, variant) for variant in variants]
     except ReplayError as exc:
         print(f"cannot replay {path}: {exc}", file=sys.stderr)

@@ -13,12 +13,16 @@ constraints, and evaluates the objective.
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import InvalidAssignmentError
 from .instance import HTAInstance
-from .motivation import motivation_of_subset
+from .motivation import group_motivations
 
 
 @dataclass(frozen=True)
@@ -113,29 +117,32 @@ class Assignment:
 
     def objective(self, instance: HTAInstance) -> float:
         """Total expected motivation of this assignment (Problem 1 objective)."""
-        total = 0.0
-        diversity = instance.diversity
-        relevance = instance.relevance
-        for q, worker in enumerate(instance.workers):
-            idx = [
-                instance.tasks.position(tid) for tid in self.tasks_of(worker.worker_id)
-            ]
-            total += motivation_of_subset(
-                diversity, relevance[q], idx, worker.alpha, worker.beta
-            )
-        return total
+        # Left to right, as a loop adds (``sum`` compensates from Python 3.12).
+        return functools.reduce(operator.add, self._motivations(instance).tolist(), 0.0)
 
     def per_worker_motivation(self, instance: HTAInstance) -> dict[str, float]:
         """Each worker's motivation under this assignment."""
-        result: dict[str, float] = {}
-        for q, worker in enumerate(instance.workers):
-            idx = [
-                instance.tasks.position(tid) for tid in self.tasks_of(worker.worker_id)
-            ]
-            result[worker.worker_id] = motivation_of_subset(
-                instance.diversity, instance.relevance[q], idx, worker.alpha, worker.beta
-            )
-        return result
+        ids = (worker.worker_id for worker in instance.workers)
+        return dict(zip(ids, self._motivations(instance).tolist()))
+
+    def _motivations(self, instance: HTAInstance) -> np.ndarray:
+        """Eq. 3 of each worker's tasks, in instance worker order, read
+        through the profile index (the ``|T| x |T|`` diversity matrix is
+        never built)."""
+        groups = self.indices(instance)
+        sizes = np.array([len(group) for group in groups], dtype=np.intp)
+        members = np.zeros((len(groups), sizes.max(initial=0)), dtype=np.intp)
+        members[np.arange(members.shape[1]) < sizes[:, None]] = [
+            task for group in groups for task in group
+        ]
+        return group_motivations(
+            instance.profile_pair,
+            instance.relevance,
+            members,
+            sizes,
+            instance.alphas(),
+            instance.betas() * (sizes - 1),
+        )
 
     def summary(self) -> str:
         """Short human-readable description."""

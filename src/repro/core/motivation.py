@@ -128,6 +128,40 @@ def total_motivation(
     )
 
 
+def group_motivations(
+    profile_pair: tuple[np.ndarray, np.ndarray],
+    relevance_matrix: np.ndarray,
+    members: np.ndarray,
+    sizes: np.ndarray,
+    alphas: np.ndarray,
+    relevance_weights: np.ndarray,
+) -> np.ndarray:
+    """``2 alpha_q TD(T_q) + relevance_weights[q] TR(T_q, w_q)`` of every
+    worker, reading diversities through the task -> profile index.
+
+    ``profile_pair`` is ``(P, profile)`` with ``d(t_k, t_l) = P[profile[k],
+    profile[l]]``; worker ``q``'s tasks are ``members[q, :sizes[q]]``.  With
+    ``relevance_weights = betas * (sizes - 1)`` this is Eq. 3; with
+    ``betas * (x_max - 1)`` the QAP's clique term (Eq. 8).  Workers are
+    scored in blocks of one group size, one ``(k, k)`` gather of ``P`` per
+    worker, each summed in the order and shape of
+    :func:`motivation_of_subset`, so the values equal it bit for bit.
+    """
+    matrix, profile = profile_pair
+    out = np.zeros(len(sizes))
+    for k in np.unique(sizes).tolist():
+        if k == 0:
+            continue
+        rows = np.flatnonzero(sizes == k)
+        tasks = members[rows, :k]
+        classes = profile[tasks]
+        block = matrix[classes[:, :, None], classes[:, None, :]]
+        diversity = np.triu(block, k=1).reshape(len(rows), k * k).sum(axis=1)
+        rel_total = relevance_matrix[rows[:, None], tasks].sum(axis=1)
+        out[rows] = 2.0 * alphas[rows] * diversity + relevance_weights[rows] * rel_total
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Marginal gains for the adaptive alpha/beta update (Section III).
 # ---------------------------------------------------------------------------

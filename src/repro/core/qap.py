@@ -21,20 +21,27 @@ the consistent guard is ``l <= |W| * x_max``, which we use.
 
 Rather than materializing ``A`` and ``C`` densely (the algorithms never need
 them), the encoding stores the clique structure: ``worker_of_vertex`` and the
-column degree ``deg_a``.  Dense matrices are available from
-:meth:`QAPEncoding.dense_a` / :meth:`QAPEncoding.dense_c` for tests and for
-reproducing the paper's Fig. 1.
+column degree ``deg_a``.  Nor does it hold ``B``: tasks sharing a keyword
+profile are twins, so ``b[k, l] = P[profile[k], profile[l]]`` for the
+``|P| x |P|`` profile matrix ``P``, and every solve-path reader gathers
+through the task -> profile index.  Dense matrices are available from
+:meth:`QAPEncoding.dense_a` / :meth:`~QAPEncoding.dense_b` /
+:meth:`~QAPEncoding.dense_c` for tests and for reproducing the paper's Fig. 1.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ..errors import InvalidInstanceError
+from .distance import take_submatrix
 from .instance import HTAInstance
+from .motivation import group_motivations
 
 
 @dataclass(frozen=True)
@@ -47,25 +54,35 @@ class QAPEncoding:
             zero-padding dummies standing in for empty slots).
         n_workers: Number of workers.
         x_max: Per-worker capacity.
-        diversity: Padded ``(n, n)`` matrix ``B`` (Eq. 5); dummy rows/columns
-            are all zero, which makes a dummy equivalent to an empty slot.
+        profile_matrix: ``(|P| + 1, |P| + 1)`` distances between the keyword
+            profiles, plus an all-zero last row and column: the dummies'
+            class, which makes a dummy equivalent to an empty slot.
+        profile: Padded ``(n,)`` keyword-profile index of each vertex (its
+            twin class) into ``profile_matrix``; the dummies index its last
+            row.  ``B`` (Eq. 5) is ``profile_matrix[profile][:, profile]``.
         relevance_by_worker: Padded ``(n, n_workers)`` matrix of raw
             ``rel(w_q, t_k)`` values (dummy rows zero).
         alphas: Per-worker alpha weights.
         betas: Per-worker beta weights.
-        profile: Padded ``(n,)`` keyword-profile index of each vertex (its
-            twin class); the dummies form one extra class.
     """
 
     n_vertices: int
     n_real_tasks: int
     n_workers: int
     x_max: int
-    diversity: np.ndarray
+    profile_matrix: np.ndarray
+    profile: np.ndarray
     relevance_by_worker: np.ndarray
     alphas: np.ndarray
     betas: np.ndarray
-    profile: np.ndarray
+
+    @cached_property
+    def diversity(self) -> np.ndarray:
+        """The padded ``(n, n)`` diversity matrix ``B`` (Eq. 5), carved from
+        the profile matrix on first use.  No solve path reads it: it serves
+        :meth:`objective_dense`, the exact matching ablation and the worked
+        examples."""
+        return take_submatrix(self.profile_matrix, self.profile)
 
     @cached_property
     def worker_of_vertex(self) -> np.ndarray:
@@ -144,22 +161,20 @@ class QAPEncoding:
         Computed through the clique structure:
         ``sum_q [2 alpha_q TD(T_q) + beta_q (x_max-1) TR(T_q, w_q)]`` — which
         *is* the HTA objective, establishing the equivalence the tests check
-        against a literal dense-matrix evaluation.
+        against a literal dense-matrix evaluation.  All workers are scored
+        at once, gathering their clique blocks of ``B`` through the profile
+        index; the per-worker terms are added in worker order.
         """
-        groups = self.tasks_by_worker(permutation)
-        total = 0.0
-        for q, tasks in enumerate(groups):
-            if not tasks:
-                continue
-            idx = np.asarray(tasks, dtype=np.intp)
-            sub = self.diversity[np.ix_(idx, idx)]
-            diversity = float(np.triu(sub, k=1).sum())
-            rel_total = float(self.relevance_by_worker[idx, q].sum())
-            total += (
-                2.0 * self.alphas[q] * diversity
-                + self.betas[q] * (self.x_max - 1) * rel_total
-            )
-        return total
+        members, sizes = self._clique_members(permutation)
+        terms = group_motivations(
+            (self.profile_matrix, self.profile),
+            self.relevance_by_worker.T,
+            members,
+            sizes,
+            self.alphas,
+            self.betas * (self.x_max - 1),
+        )
+        return functools.reduce(operator.add, terms.tolist(), 0.0)
 
     def objective_dense(self, permutation: np.ndarray) -> float:
         """Literal Eq. 8 evaluation with dense ``A`` and ``C`` (test oracle).
@@ -177,20 +192,29 @@ class QAPEncoding:
 
     def tasks_by_worker(self, permutation: np.ndarray) -> list[list[int]]:
         """Decode a permutation into per-worker real-task indices (Eq. 7)."""
+        members, sizes = self._clique_members(permutation)
+        return [row[:k] for row, k in zip(members.tolist(), sizes.tolist())]
+
+    def _clique_members(self, permutation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The tasks on each worker's clique vertices, ascending, as the rows
+        of a ``(n_workers, x_max)`` array (dummies last), and how many of
+        each row are real tasks."""
         pi = np.asarray(permutation, dtype=np.intp)
-        if pi.shape != (self.n_vertices,):
+        n = self.n_vertices
+        if pi.shape != (n,):
             raise InvalidInstanceError(
-                f"permutation must have length {self.n_vertices}, got {pi.shape}"
+                f"permutation must have length {n}, got {pi.shape}"
             )
-        if len(np.unique(pi)) != self.n_vertices:
-            raise InvalidInstanceError("permutation has repeated vertices")
-        owners = self.worker_of_vertex
-        groups: list[list[int]] = [[] for _ in range(self.n_workers)]
-        for task, vertex in enumerate(pi[: self.n_real_tasks]):
-            owner = owners[vertex]
-            if owner >= 0:
-                groups[owner].append(task)
-        return groups
+        task_of_vertex = np.full(n, -1, dtype=np.intp)
+        if n and 0 <= pi.min() <= pi.max() < n:
+            task_of_vertex[pi] = np.arange(n)
+        if (task_of_vertex < 0).any():
+            raise InvalidInstanceError(
+                "permutation has repeated or out-of-range vertices"
+            )
+        clique = task_of_vertex[: self.n_workers * self.x_max]
+        members = np.sort(clique.reshape(self.n_workers, self.x_max), axis=1)
+        return members, np.count_nonzero(members < self.n_real_tasks, axis=1)
 
 
 def build_encoding(instance: HTAInstance) -> QAPEncoding:
@@ -202,12 +226,10 @@ def build_encoding(instance: HTAInstance) -> QAPEncoding:
     """
     n_tasks = instance.n_tasks
     n_vertices = max(n_tasks, instance.capacity)
-    diversity = instance.diversity
     relevance = instance.relevance.T  # (n_tasks, n_workers)
     profiles, profile = instance.profile_pair
     if n_vertices > n_tasks:
         pad = n_vertices - n_tasks
-        diversity = np.pad(diversity, ((0, pad), (0, pad)))
         relevance = np.pad(relevance, ((0, pad), (0, 0)))
         profile = np.pad(profile, (0, pad), constant_values=len(profiles))
     return QAPEncoding(
@@ -215,9 +237,9 @@ def build_encoding(instance: HTAInstance) -> QAPEncoding:
         n_real_tasks=n_tasks,
         n_workers=instance.n_workers,
         x_max=instance.x_max,
-        diversity=diversity,
+        profile_matrix=np.pad(profiles, ((0, 1), (0, 1))),
+        profile=profile,
         relevance_by_worker=relevance,
         alphas=instance.alphas(),
         betas=instance.betas(),
-        profile=profile,
     )

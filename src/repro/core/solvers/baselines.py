@@ -29,9 +29,9 @@ from .hta_gre import HTAGreSolver
 def override_weights(instance: HTAInstance, weights: MotivationWeights) -> HTAInstance:
     """A copy of ``instance`` where every worker carries ``weights``.
 
-    The cached diversity and relevance matrices are transplanted onto the
+    The cached profile pair and relevance matrix are transplanted onto the
     new instance — they depend only on keyword vectors, not on alpha/beta —
-    so the override is O(|W|) instead of O(|T|^2).
+    so the override is O(|W|) instead of a recomputation.
     """
     new_workers = WorkerPool(
         (w.with_weights(weights) for w in instance.workers),
@@ -44,7 +44,7 @@ def override_weights(instance: HTAInstance, weights: MotivationWeights) -> HTAIn
         distance=instance.distance,
     )
     # cached_property stores through __dict__, which frozen dataclasses allow.
-    overridden.__dict__["diversity"] = instance.diversity
+    overridden.__dict__["profile_pair"] = instance.profile_pair
     overridden.__dict__["relevance"] = instance.relevance
     return overridden
 

@@ -12,6 +12,9 @@ transportation problem from workers (``x_max`` tasks each) to classes of
 twin tasks (one keyword profile, one matched weight), in
 ``O((|W| x_max)^2 n_classes)``, so the ``O(|T|^2 log |T|)`` diversity
 matching bounds the solve instead (docs/THEORY.md, "The quotient LSAP").
+That matching, its edge weights and the objectives read the diversity
+matrix as the keyword-profile matrix through the task -> profile index; no
+``|T| x |T|`` matrix is built on the default (``clique``) solve.
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 Both algorithms run the same five phases and differ only in how the
 auxiliary LSAP (line 11) is solved:
 
-1. *encode* — build the MAXQAP matrices (Eqs. 4-6);
+1. *encode* — build the MAXQAP encoding (Eqs. 4-6); ``B`` is held as the
+   keyword-profile matrix and the task -> profile index, and no phase
+   builds the ``|T| x |T|`` diversity matrix;
 2. *matching* — a (greedy) maximum-weight matching ``M_B`` on the diversity
-   graph ``B``, walked by pairs of keyword profiles (index read in *encode*);
+   graph ``B``, walked by pairs of keyword profiles on the profile matrix;
 3. *profits* — the auxiliary LSAP profit matrix
    ``f[k, l] = bM(t_k) * degA_l + c[k, l]`` (line 10), one column per
    worker (a worker's ``x_max`` clique columns are identical), with its
@@ -26,7 +28,9 @@ auxiliary LSAP (line 11) is solved:
    reproduction times it);
 5. *swap + decode* — place the LSAP's answer back into a vertex
    permutation, per matched edge swap the two tasks' vertices with
-   probability 1/2 (lines 12-16), then read off ``T_wq`` via Eq. 7.
+   probability 1/2 (lines 12-16), then read off ``T_wq`` via Eq. 7.  The
+   two candidate permutations are scored by the vectorised QAP objective:
+   every worker's clique block of ``B`` gathered through the profile index.
 
 Phase timings are recorded so the Fig. 2a bench can report the
 Matching/Lsap split exactly as the paper does; ``lsap`` times the
@@ -35,6 +39,7 @@ Matching/Lsap split exactly as the paper does; ``lsap`` times the
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -187,7 +192,8 @@ def twin_classes(
 def _diversity_matching(
     encoding: QAPEncoding, method: str, rng: np.random.Generator
 ) -> list[tuple[int, int]]:
-    """The matching ``M_B`` on the (padded) diversity graph (line 2)."""
+    """The matching ``M_B`` on the (padded) diversity graph (line 2); the
+    greedy walk reads ``B`` as the profile matrix and index."""
     if method == "greedy":
         # Random class labels break ties between profile pairs, as the LSAP
         # row shuffle does: in first-appearance (group) order each group's
@@ -195,7 +201,10 @@ def _diversity_matching(
         # brings into one worker's set share a group.
         profile = encoding.profile
         labels = rng.permutation(int(profile.max(initial=-1)) + 1)
-        return greedy_matching_dense(encoding.diversity, labels[profile])
+        # Relabel the profile matrix so class labels[p] reads row p.
+        order = np.argsort(labels)
+        relabeled = encoding.profile_matrix[order][:, order]
+        return greedy_matching_dense(relabeled, labels[profile])
     if method == "exact":
         if encoding.n_vertices > MAX_EXACT_VERTICES:
             raise ValueError(
@@ -212,9 +221,16 @@ def _matched_edge_weights(
     """``bM(t_k)``: the weight of the matched edge covering ``t_k``, else 0
     (Algorithm 1 lines 5-8)."""
     weights = np.zeros(encoding.n_vertices)
-    i, j = np.array(matching, dtype=np.intp).reshape(-1, 2).T
-    weights[i] = weights[j] = encoding.diversity[i, j]
+    i, j = _edge_array(matching).T
+    profile = encoding.profile
+    weights[i] = weights[j] = encoding.profile_matrix[profile[i], profile[j]]
     return weights
+
+
+def _edge_array(matching: list[tuple[int, int]]) -> np.ndarray:
+    """The matched edges as a ``(len(matching), 2)`` integer array."""
+    flat = itertools.chain.from_iterable(matching)
+    return np.fromiter(flat, dtype=np.intp, count=2 * len(matching)).reshape(-1, 2)
 
 
 def _best_swap(
@@ -236,7 +252,7 @@ def _best_swap(
     permutation = base_permutation.copy()
     if matching:
         # Matched edges are vertex-disjoint, so the swaps commute.
-        edges = np.array(matching, dtype=np.intp).reshape(-1, 2)
+        edges = _edge_array(matching)
         k, l = edges[rng.random(len(matching)) < 0.5].T
         permutation[k], permutation[l] = permutation[l], permutation[k]
     value = encoding.objective(permutation)

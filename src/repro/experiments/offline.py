@@ -118,7 +118,7 @@ def measure_point(
     solver = get_solver(solver_name, **options)
     totals, matchings, lsaps, objectives = [], [], [], []
     # Warm the cached matrices so the first repeat isn't charged for them.
-    instance.diversity
+    instance.profile_pair
     instance.relevance
     for _ in range(n_repeats):
         result = solver.solve(instance, generator)

@@ -8,10 +8,11 @@ rely on.
 
 Two entry points:
 
-* :func:`greedy_matching_dense` — on a symmetric weight matrix (complete
-  graph), the shape used throughout HTA.  Tasks sharing a keyword profile
-  are twins (AMT task groups give ~80 profiles per 400 Fig. 2 tasks), so
-  it walks profile pairs, matching all free twins of a pair at once;
+* :func:`greedy_matching_dense` — on the complete graph of a symmetric
+  weight matrix, the shape used throughout HTA.  Tasks sharing a keyword
+  profile are twins (AMT task groups give ~80 profiles per 400 Fig. 2
+  tasks), so it reads the *profile* matrix through each vertex's profile
+  index and walks profile pairs, matching all free twins of a pair at once;
 * :func:`greedy_matching_edges` — on an explicit edge list, for sparse
   graphs and for tests.
 """
@@ -30,15 +31,18 @@ def greedy_matching_dense(
 ) -> list[tuple[int, int]]:
     """Greedy matching on the complete graph given by a symmetric matrix.
 
-    ``profile[i]`` names vertex ``i``'s class of twins: vertices of one
-    class have equal weights to every other vertex and weight 0 among
-    themselves (tasks with one keyword profile, under a metric).  ``None``
-    makes every vertex its own class.  Edges with non-positive weight are
-    skipped: leaving two vertices unmatched is never worse than matching
-    them at weight <= 0, and skipping keeps the 1/2 bound.
+    ``weights`` is indexed by class: vertex ``i`` belongs to class
+    ``profile[i]``, and two vertices of different classes are joined at
+    weight ``weights[profile[i], profile[j]]`` (tasks sharing a keyword
+    profile are twins: equal distances to every other task and distance 0
+    among themselves, under a metric).  ``None`` makes every vertex its own
+    class, ``weights`` then being the vertex matrix itself.  Edges with
+    non-positive weight are skipped: leaving two vertices unmatched is never
+    worse than matching them at weight <= 0, and skipping keeps the 1/2
+    bound.
 
     Class pairs are visited in the stable order of decreasing weight, ties
-    in the order of the labels; a pair ``(a, b)`` matches ``min(free_a,
+    in the order of the class indices; a pair ``(a, b)`` matches ``min(free_a,
     free_b)`` vertex pairs at once, lowest free vertices first.  One of the
     two classes is then exhausted, so no heavier free edge remains: each
     edge taken is a heaviest free edge, a GreedyMatching run.  Pairs go in
@@ -54,24 +58,24 @@ def greedy_matching_dense(
     >>> w = np.array([[0., 3., 1.], [3., 0., 2.], [1., 2., 0.]])
     >>> greedy_matching_dense(w)
     [(0, 1)]
-    >>> twins = np.array([[0., 0., 2., 1.], [0., 0., 2., 1.],
-    ...                   [2., 2., 0., 0.], [1., 1., 0., 0.]])
-    >>> greedy_matching_dense(twins, profile=[0, 0, 1, 2])
+    >>> classes = np.array([[0., 2., 1.], [2., 0., 0.], [1., 0., 0.]])
+    >>> greedy_matching_dense(classes, profile=[0, 0, 1, 2])
     [(0, 2), (1, 3)]
     """
     matrix = np.asarray(weights, dtype=float)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
+    m = matrix.shape[0]
+    if matrix.shape != (m, m):
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    label = np.arange(n) if profile is None else np.asarray(profile, dtype=np.intp)
-    if label.shape != (n,):
-        raise ValueError(f"expected {n} profile entries, got shape {label.shape}")
-    _, first, label = np.unique(label, return_index=True, return_inverse=True)
+    index = np.arange(m) if profile is None else np.asarray(profile, dtype=np.intp)
+    if index.ndim != 1 or (index.size and not 0 <= index.min() <= index.max() < m):
+        raise ValueError(f"profile must be a 1-D index into the {m} rows of weights")
+    n = len(index)
+    classes, label = np.unique(index, return_inverse=True)
     size = np.bincount(label)
     # Members of each class, ascending, laid out class after class.
     members = np.argsort(label, kind="stable").tolist()
     rows, cols = np.triu_indices(len(size), k=1)
-    edge_weights = matrix[first[rows], first[cols]]
+    edge_weights = matrix[classes[rows], classes[cols]]
     order = np.argsort(-edge_weights, kind="stable")
     # Positive weights sort first, so they are a prefix of the order.
     order = order[: np.count_nonzero(edge_weights > 0.0)]

@@ -362,7 +362,7 @@ def load_journal(path: "str | Path") -> Journal:
     malformed lines, schema drift, or a version mismatch."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
-        raise ReplayError(f"journal {path} is empty")
+        raise ReplayError(f"{path}: journal is empty")
     records = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

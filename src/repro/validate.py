@@ -160,13 +160,23 @@ def _check_weights(instance: HTAInstance) -> list[Finding]:
     return findings
 
 
+def mean_pairwise_diversity(instance: HTAInstance) -> float | None:
+    """Mean ``d(t_k, t_l)`` over the task pairs ``k < l`` (``None`` below
+    two tasks), read from the profile pair: profiles ``a != b`` stand for
+    ``|a| * |b|`` task pairs, and twins sit at distance 0."""
+    n = instance.n_tasks
+    if n < 2:
+        return None
+    matrix, profile = instance.profile_pair
+    counts = np.bincount(profile, minlength=len(matrix)).astype(np.float64)
+    return float(counts @ matrix @ counts) / (n * (n - 1))
+
+
 def _check_distance_structure(instance: HTAInstance) -> list[Finding]:
     findings = []
-    diversity = instance.diversity
-    off_diagonal = diversity[np.triu_indices(instance.n_tasks, k=1)]
-    if off_diagonal.size == 0:
+    mean_distance = mean_pairwise_diversity(instance)
+    if mean_distance is None:
         return findings
-    mean_distance = float(off_diagonal.mean())
     if mean_distance > 0.85:
         findings.append(
             Finding(

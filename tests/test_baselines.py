@@ -21,9 +21,12 @@ class TestOverrideWeights:
         assert all(w.alpha == 1.0 for w in forced.workers)
 
     def test_matrices_are_transplanted_not_recomputed(self, small_instance):
+        """The solve reads the profile pair and relevance: both are shared,
+        and the task-level diversity carved from the shared pair is equal."""
         forced = override_weights(small_instance, MotivationWeights(0.0, 1.0))
-        assert forced.diversity is small_instance.diversity
+        assert forced.profile_pair is small_instance.profile_pair
         assert forced.relevance is small_instance.relevance
+        assert np.array_equal(forced.diversity, small_instance.diversity)
 
     def test_original_untouched(self, small_instance):
         override_weights(small_instance, MotivationWeights(1.0, 0.0))

@@ -47,6 +47,8 @@ class TestGreedyDense:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             greedy_matching_dense(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            greedy_matching_dense(np.zeros((2, 3)), [0, 1])
 
     @pytest.mark.parametrize("seed", range(15))
     def test_half_approximation_bound(self, seed):
@@ -87,16 +89,16 @@ class TestGreedyDenseEqualsEdgeLoop:
 
 @st.composite
 def twin_graph(draw):
-    """A symmetric matrix of twin classes, ``w[i, j] = c[p_i, p_j]``: integer
+    """A symmetric class matrix ``c`` and each vertex's class ``p``: integer
     class weights in [-1, 3] (many ties, zeros and negatives), 0 inside a
-    class."""
+    class; vertices ``i, j`` are joined at ``c[p_i, p_j]``."""
     n_classes = draw(st.integers(1, 8))
     n = draw(st.integers(0, 30))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     c = np.triu(rng.integers(-1, 4, size=(n_classes, n_classes)), 1).astype(float)
     profile = rng.integers(0, n_classes, size=n)
-    return (c + c.T)[np.ix_(profile, profile)], profile
+    return c + c.T, profile
 
 
 def assert_greedy_run(w: np.ndarray, matching: list[tuple[int, int]]) -> None:
@@ -126,17 +128,17 @@ class TestProfilePairWalk:
     @given(twin_graph())
     @settings(max_examples=200, deadline=None)
     def test_every_edge_is_a_heaviest_free_edge(self, graph):
-        w, profile = graph
-        matching = greedy_matching_dense(w, profile)
+        c, profile = graph
+        matching = greedy_matching_dense(c, profile)
         assert is_matching(matching)
-        assert_greedy_run(w, matching)
+        assert_greedy_run(c[np.ix_(profile, profile)], matching)
 
     @given(tied_symmetric())
     @settings(max_examples=200, deadline=None)
     def test_singleton_classes_are_the_task_walk(self, w):
-        """``profile=None``, the identity labels and any increasing labels
-        of singleton classes all give the one-edge-at-a-time loop's
-        matching."""
+        """``profile=None``, the identity index and singleton classes spread
+        in increasing order over a wider matrix all give the
+        one-edge-at-a-time loop's matching."""
         n = len(w)
         rows, cols = np.triu_indices(n, k=1)
         task_walk = greedy_matching_edges(
@@ -144,20 +146,33 @@ class TestProfilePairWalk:
         )
         assert greedy_matching_dense(w) == task_walk
         assert greedy_matching_dense(w, np.arange(n)) == task_walk
-        assert greedy_matching_dense(w, 3 * np.arange(n) + 7) == task_walk
+        spread = 3 * np.arange(n) + 7
+        wide = np.zeros((3 * n + 7, 3 * n + 7))
+        wide[np.ix_(spread, spread)] = w
+        assert greedy_matching_dense(wide, spread) == task_walk
 
     @given(twin_graph(), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_labels_break_ties_in_their_order(self, graph, seed):
-        """Only the order of the labels matters: an increasing renumbering
-        changes nothing, and any renumbering is still a greedy run."""
-        w, profile = graph
-        increasing = np.sort(np.random.default_rng(seed).choice(100, 8, replace=False))
-        assert greedy_matching_dense(w, increasing[profile]) == greedy_matching_dense(
-            w, profile
+        """Only the order of the class indices matters: moving the classes
+        to increasing rows of a wider matrix changes nothing, and any
+        renumbering (rows moved along) is still a greedy run."""
+        c, profile = graph
+        k = len(c)
+        rng = np.random.default_rng(seed)
+        increasing = np.sort(rng.choice(100, k, replace=False))
+        wide = np.zeros((100, 100))
+        wide[np.ix_(increasing, increasing)] = c
+        assert greedy_matching_dense(
+            wide, increasing[profile]
+        ) == greedy_matching_dense(c, profile)
+        shuffled = rng.permutation(k)
+        moved = np.empty_like(c)
+        moved[np.ix_(shuffled, shuffled)] = c
+        assert_greedy_run(
+            c[np.ix_(profile, profile)],
+            greedy_matching_dense(moved, shuffled[profile]),
         )
-        shuffled = np.random.default_rng(seed).permutation(8)[profile]
-        assert_greedy_run(w, greedy_matching_dense(w, shuffled))
 
     @given(st.integers(1, 8), st.integers(0, 30), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -175,7 +190,7 @@ class TestProfilePairWalk:
         weights = []
         for labels in (profile, shuffled):
             w = c[np.ix_(labels, labels)]
-            weights.append(matching_weight(w, greedy_matching_dense(w, labels)))
+            weights.append(matching_weight(w, greedy_matching_dense(c, labels)))
         assert weights[0] == weights[1]
 
     def test_matches_twins_of_a_pair_at_once(self):
@@ -183,12 +198,16 @@ class TestProfilePairWalk:
         task pairs, lowest free indices first; the third twin is left over."""
         c = np.array([[0.0, 2.0], [2.0, 0.0]])
         profile = np.array([0, 1, 0, 1, 0])
-        w = c[np.ix_(profile, profile)]
-        assert greedy_matching_dense(w, profile) == [(0, 1), (2, 3)]
+        assert greedy_matching_dense(c, profile) == [(0, 1), (2, 3)]
 
     def test_profile_length_checked(self):
+        """``profile`` is a 1-D index into the rows of the class matrix."""
         with pytest.raises(ValueError, match="profile"):
-            greedy_matching_dense(np.zeros((3, 3)), [0, 1])
+            greedy_matching_dense(np.zeros((3, 3)), [0, 3])
+        with pytest.raises(ValueError, match="profile"):
+            greedy_matching_dense(np.zeros((3, 3)), [-1, 0])
+        with pytest.raises(ValueError, match="profile"):
+            greedy_matching_dense(np.zeros((3, 3)), [[0, 1]])
 
 
 def greedy_lsap_entry_loop(profit: np.ndarray) -> np.ndarray:

@@ -25,11 +25,11 @@ def figure_one_encoding(paper_example):
         n_real_tasks=enc.n_real_tasks,
         n_workers=enc.n_workers,
         x_max=enc.x_max,
-        diversity=enc.diversity,
+        profile_matrix=enc.profile_matrix,
+        profile=enc.profile,
         relevance_by_worker=enc.relevance_by_worker,
         alphas=np.array([0.2, 0.6]),
         betas=np.array([0.8, 0.3]),
-        profile=enc.profile,
     )
 
 

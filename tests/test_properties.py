@@ -115,7 +115,7 @@ class TestProfileWalkProperties:
     def test_profile_walk_is_half_of_optimal(self, n_tasks, seed):
         instance = make_random_instance(n_tasks, 1, 1, seed=seed, n_keywords=3)
         w = instance.diversity
-        matching = greedy_matching_dense(w, instance.profile_pair[1])
+        matching = greedy_matching_dense(*instance.profile_pair)
         assert is_matching(matching)
         assert matching_weight(w, matching) >= 0.5 * exact_matching_weight(w) - 1e-9
 
@@ -131,7 +131,7 @@ class TestProfileWalkProperties:
             n_tasks, n_workers, x_max, seed=seed, n_keywords=3
         )
         encoding = build_encoding(instance)
-        matching = greedy_matching_dense(encoding.diversity, encoding.profile)
+        matching = greedy_matching_dense(encoding.profile_matrix, encoding.profile)
         assert all(j < encoding.n_real_tasks for _, j in matching)
         if encoding.n_vertices > n_tasks:
             # The dummies form one class of their own, after the profiles.

@@ -279,6 +279,54 @@ def replay_cli(journal, capsys):
     return code, err
 
 
+class TestReplayErrorsNameThePathOnce:
+    """``repro replay`` prefixes its error with the journal path once,
+    whether loading or replaying fails."""
+
+    def test_load_error(self, cli_recorded, tmp_path, capsys):
+        def bump(record):
+            if record["type"] == "header":
+                record["version"] = JOURNAL_VERSION - 1
+            return record
+
+        journal = rewrite(cli_recorded, tmp_path / "old.jsonl", bump)
+        code, err = replay_cli(journal, capsys)
+        assert code == 2
+        assert err == (
+            f"cannot replay {journal}: journal version {JOURNAL_VERSION - 1}, "
+            f"this build reads {JOURNAL_VERSION}\n"
+        )
+
+    def test_replay_error(self, cli_recorded, tmp_path, capsys):
+        def repoint(record):
+            if record["type"] == "header":
+                record["pool_sha"] = "0" * 64
+            return record
+
+        journal = rewrite(cli_recorded, tmp_path / "moved.jsonl", repoint)
+        code, err = replay_cli(journal, capsys)
+        assert code == 2
+        assert err.startswith(f"cannot replay {journal}: corpus mismatch")
+        assert err.count(str(journal)) == 1
+
+
+class TestEarlierBuildJournals:
+    """Journals recorded by an earlier build (``repro.serve.loadgen
+    --spawn-server --workers 6 --completions 10 --tasks 400 --seed 7``, one
+    per strategy) replay bit-identically on this one: a refactor that moves
+    a tie-break shows here."""
+
+    @pytest.mark.parametrize("strategy", ["hta_gre", "hta_app"])
+    def test_fixture_replays(self, strategy, capsys):
+        from repro.cli import main
+
+        journal = Path(__file__).parent / "fixtures" / f"journal_v6_{strategy}.jsonl"
+        assert main(["replay", str(journal)]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert reports and all(r["ok"] and r["state_verified"] for r in reports)
+        assert reports[0]["solves_committed"] >= 1
+
+
 class TestParentTierPolicyHeader:
     """Journals recorded by earlier builds carry an ``adaptivity`` block in
     their header: the paper's ``{"estimator": "plain", "bandit": "off"}``,

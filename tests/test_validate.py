@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import HTAInstance, MotivationWeights, Task, TaskPool, Vocabulary, Worker, WorkerPool
-from repro.validate import Finding, diagnose, has_blockers
+from repro.validate import Finding, diagnose, has_blockers, mean_pairwise_diversity
 
 from conftest import make_random_instance
 
@@ -111,6 +111,18 @@ class TestStructureChecks:
         workers = WorkerPool([Worker("w", same.copy())], vocab)
         findings = diagnose(HTAInstance(tasks, workers, 2))
         assert "near-identical-pool" in codes(findings)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mean_diversity_equals_the_task_level_mean(self, seed):
+        """The profile-weighted mean is the mean over the task matrix's
+        upper triangle, on pools with and without repeated profiles."""
+        for n_keywords in (3, 10):
+            instance = make_random_instance(25, 2, 3, seed=seed, n_keywords=n_keywords)
+            task_level = instance.diversity[np.triu_indices(25, k=1)].mean()
+            assert mean_pairwise_diversity(instance) == pytest.approx(
+                task_level, rel=1e-12, abs=1e-15
+            )
+        assert mean_pairwise_diversity(make_random_instance(1, 1, 1, seed=seed)) is None
 
     def test_findings_sorted_by_severity(self):
         instance = make_random_instance(6, 2, 1, seed=4)  # error + infos
